@@ -103,7 +103,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	cache := flag.Int("cache", 1024, "result cache entries")
-	kernelCache := flag.Int("kernel-cache", 256, "skew-kernel cache entries (precomputed graph+tree geometry)")
+	kernelCache := flag.Int("kernel-cache", 256, "entries in each of the four engine caches (skew kernels, streamers, clocksim kernels, hybrid systems), each keyed by recipe")
 	maxKernelPairs := flag.Int64("max-kernel-pairs", 0, "largest communicating-pair count a request may ask a kernel for (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
 	maxKernelBytes := flag.Int64("max-kernel-bytes", 0, "kernel memory budget in bytes per request (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
 	maxBatchConfigs := flag.Int("max-batch-configs", 64, "largest configs array a batched /v1/simulate request may carry")

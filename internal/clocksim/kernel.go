@@ -28,9 +28,9 @@ import (
 //
 // A Kernel is safe for concurrent use: regime scratch lives in a
 // sync.Pool of per-worker arenas, so steady-state skew queries allocate
-// nothing. The serving stack caches Kernels by content-addressed
-// (graph, tree) hash and reuses them across requests with different
-// parameters, trials, and seeds.
+// nothing. The serving stack caches Kernels by the request's recipe
+// (graph input plus tree recipe) and reuses them across requests with
+// different parameters, trials, and seeds.
 type Kernel struct {
 	tree  *clocktree.Tree
 	graph *comm.Graph // nil for tree-only kernels

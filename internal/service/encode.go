@@ -33,12 +33,17 @@ func canonicalize(req any) ([]byte, error) {
 	return b, nil
 }
 
-// cacheKey derives the content address of a request: SHA-256 over the
-// endpoint name and the canonical request bytes.
-func cacheKey(endpoint string, canonical []byte) string {
+// cacheKey derives the content address of v: SHA-256 over a namespace
+// (the endpoint name for results, "recipe" or "input" for engine
+// precomputations) and v's canonical bytes.
+func cacheKey(namespace string, v any) (string, error) {
+	canonical, err := canonicalize(v)
+	if err != nil {
+		return "", err
+	}
 	h := sha256.New()
-	io.WriteString(h, endpoint)
+	io.WriteString(h, namespace)
 	h.Write([]byte{0})
 	h.Write(canonical)
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -129,36 +129,58 @@ func buildTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clo
 	return t, nil
 }
 
-// kernelKey is the canonical identity of one cached skew kernel: the
-// full graph (in the comm interchange encoding) plus the tree recipe.
-// Two requests that differ only in model, trial count, seed, or timeout
-// map to the same key and share one precomputation.
-type kernelKey struct {
-	Graph    *comm.Graph `json:"graph"`
-	Tree     string      `json:"tree"`
-	Equalize bool        `json:"equalize,omitempty"`
-	Spacing  float64     `json:"spacing,omitempty"`
+// recipe is the identity of one engine precomputation: the graph input
+// exactly as the request described it, plus how the precomputation is
+// built over it — the tree recipe for skew kernels, streamers and
+// clocksim kernels, the element size for hybrid systems. Its key is the
+// only key the four engine caches, the cluster ring route and the
+// streamed-shard spill use, so one build per recipe fleet-wide holds by
+// construction. Deriving it costs O(request size), never O(cells). Two
+// descriptions of the same graph (a spec and the equivalent inline
+// graph, or n against rows and cols) are different recipes: they build
+// separate precomputations, never a different answer.
+type recipe struct {
+	Input    string  `json:"input"` // GraphInput.key of the request
+	Kind     string  `json:"kind"`  // "kernel" or "hybridsys"
+	Tree     string  `json:"tree,omitempty"`
+	Equalize bool    `json:"equalize,omitempty"`
+	Spacing  float64 `json:"spacing,omitempty"`
+	Size     float64 `json:"size,omitempty"` // hybrid element size
 }
 
-// kernelFor returns the cached skew kernel for (g, tree recipe),
-// building tree and kernel on a miss. The cache is content-addressed
-// with the same SHA-256 scheme as the result cache, so inline graphs
-// and equivalent server-built topologies cannot collide. Errors are not
-// cached: an invalid builder name or inapplicable topology recomputes
-// (and re-reports) on every request, which keeps error semantics
-// identical to the uncached path.
-func (s *Server) kernelFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*skew.Kernel, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
+func (r recipe) key() (string, error) { return cacheKey("recipe", &r) }
+
+// key digests the graph input as posted — the input half of every
+// recipe, derived once per request so an inline graph is encoded once,
+// not once per tree or config.
+func (in GraphInput) key() (string, error) { return cacheKey("input", &in) }
+
+// newRecipe is the one constructor of recipes: a hybrid config names
+// its element size (the partition is all hybrid.New precomputes);
+// anything else — clock configs, analyze trees, shard requests — names
+// its tree recipe.
+func newRecipe(input string, c SimulateConfig) recipe {
+	if c.Mode == "hybrid" {
+		return recipe{Input: input, Kind: "hybridsys", Size: c.Hybrid.ElementSize}
+	}
+	return recipe{Input: input, Kind: "kernel", Tree: c.Tree, Equalize: c.Equalize, Spacing: c.BufferSpacing}
+}
+
+// kernelFor returns the cached skew kernel for recipe r over g, building
+// tree and kernel on a miss. Errors are not cached: an invalid builder
+// name or inapplicable topology recomputes (and re-reports) on every
+// request, which keeps error semantics identical to the uncached path.
+func (s *Server) kernelFor(g *comm.Graph, r recipe) (*skew.Kernel, error) {
+	key, err := r.key()
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("kernel", canonical)
 	if k, ok := s.kernels.Get(key); ok {
 		s.metrics.kernelHits.Add(1)
 		return k, nil
 	}
 	s.metrics.kernelMisses.Add(1)
-	t, err := buildTree(tree, g, equalize, spacing)
+	t, err := buildTree(r.Tree, g, r.Equalize, r.Spacing)
 	if err != nil {
 		return nil, err
 	}
@@ -174,23 +196,22 @@ func (s *Server) kernelFor(g *comm.Graph, tree string, equalize bool, spacing fl
 	return k, nil
 }
 
-// clockKernelFor returns the cached clocksim kernel for (g, tree
-// recipe): the flat propagation schedule reused across regimes, seeds,
-// trial counts, and the configs of one batched simulate. It rides on
-// kernelFor so the built tree is shared with analyze and the skew size
-// limits (413 on oversize arrays) apply identically.
-func (s *Server) clockKernelFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*clocksim.Kernel, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
+// clockKernelFor returns the cached clocksim kernel for recipe r over g:
+// the flat propagation schedule reused across regimes, seeds, trial
+// counts, and the configs of one batched simulate. It rides on kernelFor
+// so the built tree is shared with analyze and the skew size limits
+// (413 on oversize arrays) apply identically.
+func (s *Server) clockKernelFor(g *comm.Graph, r recipe) (*clocksim.Kernel, error) {
+	key, err := r.key()
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("simkernel", canonical)
 	if k, ok := s.simKernels.Get(key); ok {
 		s.metrics.simKernelHits.Add(1)
 		return k, nil
 	}
 	s.metrics.simKernelMisses.Add(1)
-	sk, err := s.kernelFor(g, tree, equalize, spacing)
+	sk, err := s.kernelFor(g, r)
 	if err != nil {
 		return nil, err
 	}
@@ -202,23 +223,15 @@ func (s *Server) clockKernelFor(g *comm.Graph, tree string, equalize bool, spaci
 	return k, nil
 }
 
-// hybridSystemKey is the canonical identity of one cached hybrid
-// system: the graph plus the element size, the only config field the
-// partition depends on. All other hybrid parameters are layered on per
+// hybridSystemFor returns a hybrid system for cfg over g, reusing the
+// cached partition + kernel of recipe r (whose Size is cfg.ElementSize)
+// when one exists. All other hybrid parameters are layered on per
 // request with WithConfig, sharing the cached recurrence kernel.
-type hybridSystemKey struct {
-	Graph       *comm.Graph `json:"graph"`
-	ElementSize float64     `json:"element_size"`
-}
-
-// hybridSystemFor returns a hybrid system for (g, cfg), reusing the
-// cached partition + kernel when one exists for (g, cfg.ElementSize).
-func (s *Server) hybridSystemFor(g *comm.Graph, cfg hybrid.Config) (*hybrid.System, error) {
-	canonical, err := canonicalize(&hybridSystemKey{Graph: g, ElementSize: cfg.ElementSize})
+func (s *Server) hybridSystemFor(g *comm.Graph, r recipe, cfg hybrid.Config) (*hybrid.System, error) {
+	key, err := r.key()
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("hybridsys", canonical)
 	if base, ok := s.hybridSystems.Get(key); ok {
 		s.metrics.simKernelHits.Add(1)
 		sys, err := base.WithConfig(cfg)
@@ -370,41 +383,24 @@ func (req *AnalyzeRequest) applyDefaults() {
 	}
 }
 
-// routeIdentity is the cheap ring-routing identity of a kernel: the
-// graph exactly as the request described it (topology spec or inline
-// graph) plus the tree recipe. Hashing the request's own description
-// instead of the built graph makes key derivation O(request size),
-// not O(cells) — microseconds against tens of milliseconds per
-// forwarded request on large meshes. Requests naming the same spec
-// and recipe still route together, which is all the ring needs; two
-// different specs for the same graph merely route apart and cost one
-// duplicate kernel, never a wrong answer.
-type routeIdentity struct {
-	Input    GraphInput `json:"input"`
-	Kind     string     `json:"kind"` // kernel family: "kernel" or "hybridsys"
-	Tree     string     `json:"tree,omitempty"`
-	Equalize bool       `json:"equalize,omitempty"`
-	Spacing  float64    `json:"spacing,omitempty"`
-	Size     float64    `json:"size,omitempty"` // hybrid element size
+// recipe returns the recipe of one candidate tree's kernel over input.
+func (req *AnalyzeRequest) recipe(input, tree string) recipe {
+	return newRecipe(input, SimulateConfig{Tree: tree, Equalize: req.Equalize, BufferSpacing: req.BufferSpacing})
 }
 
-func (id *routeIdentity) key() (string, bool) {
-	canonical, err := canonicalize(id)
-	if err != nil {
-		return "", false
-	}
-	return cacheKey("route", canonical), true
-}
-
-// affinityKey routes an analyze request on the identity of its first
-// tree's kernel, so every request sharing that kernel — any model,
-// seed, or trial count — lands on the node that holds it.
+// affinityKey routes an analyze request on its first tree's recipe, so
+// every request sharing that kernel — any model, seed, or trial count —
+// lands on the node that holds it.
 func (req *AnalyzeRequest) affinityKey() (string, bool) {
 	if len(req.Trees) == 0 {
 		return "", false
 	}
-	id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: req.Trees[0], Equalize: req.Equalize, Spacing: req.BufferSpacing}
-	return id.key()
+	in, err := req.GraphInput.key()
+	if err != nil {
+		return "", false
+	}
+	key, err := req.recipe(in, req.Trees[0]).key()
+	return key, err == nil
 }
 
 // TreeAnalysis is one candidate tree's analysis. A builder that does not
@@ -457,6 +453,10 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 	if err != nil {
 		return response{}, err
 	}
+	in, err := req.GraphInput.key()
+	if err != nil {
+		return response{}, err
+	}
 	model, err := req.Model.build()
 	if err != nil {
 		return response{}, err
@@ -467,12 +467,12 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 
 	// Fan the candidate trees out over the worker pool; each tree's
 	// Monte Carlo trials fan out again inside MonteCarloParallel. The
-	// kernel cache means a repeat of a (graph, tree) recipe — even under
-	// a different model, trial count, or seed — skips the tree build and
+	// kernel cache means a repeat of a recipe — even under a different
+	// model, trial count, or seed — skips the tree build and
 	// pair-geometry precomputation entirely.
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Trees), func(ctx context.Context, i int) (TreeAnalysis, error) {
-		out := TreeAnalysis{Tree: req.Trees[i]}
-		k, err := s.kernelFor(g, req.Trees[i], req.Equalize, req.BufferSpacing)
+		r := req.recipe(in, req.Trees[i])
+		k, err := s.kernelFor(g, r)
 		if err != nil {
 			// An oversize array switches to the streamed path, which
 			// answers exactly in bounded memory; with the fallback
@@ -482,23 +482,13 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 			var he *httpError
 			if errors.As(err, &he) && he.status == http.StatusRequestEntityTooLarge {
 				if s.cfg.NoStreamedFallback {
-					return out, err
+					return TreeAnalysis{}, err
 				}
-				return s.streamedTreeAnalysis(ctx, g, req.Trees[i], req, model, nil)
+				return s.streamedTreeAnalysis(ctx, g, r, req, model, nil)
 			}
-			out.Error = err.Error()
-			return out, nil
+			return TreeAnalysis{Tree: r.Tree, Error: err.Error()}, nil
 		}
-		tree := k.Tree()
-		analysis := k.Analyze(model)
-		out.Nodes = tree.NumNodes()
-		out.Buffers = tree.BufferCount()
-		out.TotalWireLength = tree.TotalWireLength()
-		out.MaxSkew = analysis.MaxSkew
-		out.WorstPair = [2]int{int(analysis.WorstPair.A), int(analysis.WorstPair.B)}
-		out.MaxD, out.MaxS = analysis.MaxD, analysis.MaxS
-		out.Pairs = analysis.Pairs
-		out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
+		out := req.kernelAnalysis(g, r.Tree, k, model)
 		if req.MonteCarloTrials > 0 {
 			mc, err := k.MonteCarloParallel(ctx, s.cfg.Workers,
 				skew.Linear{M: req.Model.M, Eps: req.Model.Eps},
@@ -507,14 +497,6 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 				return out, err
 			}
 			out.MonteCarloMaxSkew = mc
-		}
-		if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
-			cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-			if err != nil {
-				out.Error = err.Error()
-				return out, nil
-			}
-			out.CertifiedLowerBound = cert.Bound
 		}
 		return out, nil
 	})
@@ -526,6 +508,39 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 		resp.Results = append(resp.Results, r.Value)
 	}
 	return marshalResponse(resp)
+}
+
+// kernelAnalysis is one tree's analysis from its kernel, everything but
+// Monte Carlo: the sync endpoint runs that in one parallel sweep, jobs
+// in progress-publishing chunks.
+func (req *AnalyzeRequest) kernelAnalysis(g *comm.Graph, tree string, k *skew.Kernel, model skew.Model) TreeAnalysis {
+	out := TreeAnalysis{Tree: tree}
+	req.fillTree(&out, g, k.Tree())
+	analysis := k.Analyze(model)
+	out.MaxSkew = analysis.MaxSkew
+	out.WorstPair = [2]int{int(analysis.WorstPair.A), int(analysis.WorstPair.B)}
+	out.MaxD, out.MaxS = analysis.MaxD, analysis.MaxS
+	out.Pairs = analysis.Pairs
+	out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
+	return out
+}
+
+// fillTree fills the fields every analysis path reads off the built
+// tree: its size, buffers and wire, and — on meshes, when asked — the
+// Section V-B certified lower bound, whose inapplicability (e.g. on a
+// compact tree) reports inline.
+func (req *AnalyzeRequest) fillTree(out *TreeAnalysis, g *comm.Graph, tree *clocktree.Tree) {
+	out.Nodes = tree.NumNodes()
+	out.Buffers = tree.BufferCount()
+	out.TotalWireLength = tree.TotalWireLength()
+	if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
+		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
+		if err != nil {
+			out.Error = err.Error()
+		} else {
+			out.CertifiedLowerBound = cert.Bound
+		}
+	}
 }
 
 // ------------------------------------------------------------ simulate
@@ -547,6 +562,17 @@ type HybridSpec struct {
 	CellDelay         float64 `json:"cell_delay,omitempty"`
 	HoldDelay         float64 `json:"hold_delay,omitempty"`
 	Waves             int     `json:"waves,omitempty"`
+}
+
+// config converts the spec to the engine's configuration.
+func (h *HybridSpec) config() hybrid.Config {
+	return hybrid.Config{
+		ElementSize:       h.ElementSize,
+		Handshake:         h.Handshake,
+		LocalDistribution: h.LocalDistribution,
+		CellDelay:         h.CellDelay,
+		HoldDelay:         h.HoldDelay,
+	}
 }
 
 // SimulateConfig is one simulation's parameters, independent of the
@@ -663,10 +689,10 @@ func (req *SimulateRequest) applyDefaults() {
 	req.Trials, req.Seed, req.Params, req.Hybrid = c.Trials, c.Seed, c.Params, c.Hybrid
 }
 
-// affinityKey routes a simulate request on its engine precomputation:
-// the clocksim kernel's content address in clock mode, the hybrid
-// system's in hybrid mode. A batch routes on its first config's recipe —
-// sweeps share one recipe, so the whole batch lands where the kernel is.
+// affinityKey routes a simulate request on its engine precomputation's
+// recipe: the clocksim kernel's in clock mode, the hybrid system's in
+// hybrid mode. A batch routes on its first config's recipe — sweeps
+// share one recipe, so the whole batch lands where the kernel is.
 func (req *SimulateRequest) affinityKey() (string, bool) {
 	c := req.config()
 	if len(req.Configs) > 0 {
@@ -675,18 +701,12 @@ func (req *SimulateRequest) affinityKey() (string, bool) {
 			return "", false
 		}
 	}
-	switch c.Mode {
-	case "hybrid":
-		size := 4.0
-		if c.Hybrid != nil && c.Hybrid.ElementSize != 0 {
-			size = c.Hybrid.ElementSize
-		}
-		id := routeIdentity{Input: req.GraphInput, Kind: "hybridsys", Size: size}
-		return id.key()
-	default:
-		id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: c.Tree, Equalize: c.Equalize, Spacing: c.BufferSpacing}
-		return id.key()
+	in, err := req.GraphInput.key()
+	if err != nil {
+		return "", false
 	}
+	key, err := newRecipe(in, c).key()
+	return key, err == nil
 }
 
 // SummaryJSON is a stats.Summary in response form.
@@ -764,11 +784,15 @@ func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (res
 	if err != nil {
 		return response{}, err
 	}
+	in, err := req.GraphInput.key()
+	if err != nil {
+		return response{}, err
+	}
 	if len(req.Configs) > 0 {
-		return s.computeSimulateBatch(ctx, g, req)
+		return s.computeSimulateBatch(ctx, g, in, req)
 	}
 	cfg := req.config()
-	resp, err := s.simulateOne(ctx, g, &cfg)
+	resp, err := s.simulateOne(ctx, g, in, &cfg)
 	if err != nil {
 		return response{}, err
 	}
@@ -779,7 +803,7 @@ func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (res
 // engine caches make the fan-out cheap: every config sharing a (tree
 // recipe) or element size reuses one precomputed kernel, so a fresh
 // topology costs one build for the whole sweep.
-func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *SimulateRequest) (response, error) {
+func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, in string, req *SimulateRequest) (response, error) {
 	if len(req.Configs) > s.cfg.MaxBatchConfigs {
 		return response{}, badRequest("batch carries %d configs, limit %d", len(req.Configs), s.cfg.MaxBatchConfigs)
 	}
@@ -791,41 +815,27 @@ func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *S
 	// concurrent items would otherwise each miss and build the same
 	// kernel. Errors are ignored here — they are not cached, so the
 	// owning item re-derives and reports them inline.
-	type clockRecipe struct {
-		tree    string
-		eq      bool
-		spacing float64
-	}
-	seenClock := make(map[clockRecipe]bool)
-	seenHybrid := make(map[float64]bool)
+	seen := make(map[recipe]bool)
 	for i := range req.Configs {
 		c := &req.Configs[i]
 		if c.Topology != nil || c.Graph != nil {
 			continue
 		}
+		r := newRecipe(in, *c)
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
 		switch c.Mode {
 		case "clock":
-			r := clockRecipe{c.Tree, c.Equalize, c.BufferSpacing}
-			if !seenClock[r] {
-				seenClock[r] = true
-				_, _ = s.clockKernelFor(g, c.Tree, c.Equalize, c.BufferSpacing)
-			}
+			_, _ = s.clockKernelFor(g, r)
 		case "hybrid":
-			if c.Hybrid != nil && !seenHybrid[c.Hybrid.ElementSize] {
-				seenHybrid[c.Hybrid.ElementSize] = true
-				_, _ = s.hybridSystemFor(g, hybrid.Config{
-					ElementSize:       c.Hybrid.ElementSize,
-					Handshake:         c.Hybrid.Handshake,
-					LocalDistribution: c.Hybrid.LocalDistribution,
-					CellDelay:         c.Hybrid.CellDelay,
-					HoldDelay:         c.Hybrid.HoldDelay,
-				})
-			}
+			_, _ = s.hybridSystemFor(g, r, c.Hybrid.config())
 		}
 	}
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Configs), func(ctx context.Context, i int) (SimulateBatchItem, error) {
 		item := SimulateBatchItem{Index: i}
-		r, err := s.simulateOne(ctx, g, &req.Configs[i])
+		r, err := s.simulateOne(ctx, g, in, &req.Configs[i])
 		if err != nil {
 			// Oversize arrays (413) and expired deadlines fail the whole
 			// request with their typed status; anything else is this one
@@ -872,9 +882,10 @@ func (s *Server) logBatchError(ctx context.Context, index int, err error) {
 	s.logger.Println(string(line))
 }
 
-// simulateOne evaluates a single config against the shared graph. Both
-// the single form and every batch item funnel through here.
-func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateConfig) (*SimulateResponse, error) {
+// simulateOne evaluates a single config against the shared graph, whose
+// input key is in. Both the single form and every batch item funnel
+// through here.
+func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, in string, cfg *SimulateConfig) (*SimulateResponse, error) {
 	if cfg.Topology != nil || cfg.Graph != nil {
 		return nil, badRequest("a batch config carries its own topology or graph; every config runs over the request's topology")
 	}
@@ -889,11 +900,11 @@ func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateCo
 	resp := &SimulateResponse{Graph: g.Name, Cells: g.NumCells(), Mode: cfg.Mode}
 	switch cfg.Mode {
 	case "hybrid":
-		if err := s.simulateHybrid(ctx, g, cfg, resp); err != nil {
+		if err := s.simulateHybrid(ctx, g, newRecipe(in, *cfg), cfg, resp); err != nil {
 			return nil, err
 		}
 	case "clock":
-		if err := s.simulateClock(ctx, g, cfg, resp); err != nil {
+		if err := s.simulateClock(ctx, g, newRecipe(in, *cfg), cfg, resp); err != nil {
 			return nil, err
 		}
 	default:
@@ -902,11 +913,11 @@ func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateCo
 	return resp, nil
 }
 
-func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, r recipe, cfg *SimulateConfig, resp *SimulateResponse) error {
 	// One precomputed clocksim kernel serves every regime, seed, and
-	// trial count over this (graph, tree) recipe — across requests via
-	// the cache, and across the configs of one batch.
-	k, err := s.clockKernelFor(g, cfg.Tree, cfg.Equalize, cfg.BufferSpacing)
+	// trial count over this recipe — across requests via the cache, and
+	// across the configs of one batch.
+	k, err := s.clockKernelFor(g, r)
 	if err != nil {
 		return err
 	}
@@ -992,22 +1003,16 @@ func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, cfg *Simulate
 	return nil
 }
 
-func (s *Server) simulateHybrid(ctx context.Context, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateHybrid(ctx context.Context, g *comm.Graph, r recipe, cfg *SimulateConfig, resp *SimulateResponse) error {
 	h := cfg.Hybrid
 	if h.Waves < 1 || h.Waves > 1<<12 {
 		return badRequest("hybrid waves must be in [1, %d], got %d", 1<<12, h.Waves)
 	}
-	hcfg := hybrid.Config{
-		ElementSize:       h.ElementSize,
-		Handshake:         h.Handshake,
-		LocalDistribution: h.LocalDistribution,
-		CellDelay:         h.CellDelay,
-		HoldDelay:         h.HoldDelay,
-	}
+	hcfg := h.config()
 	// The cached system carries the partition and recurrence kernel for
-	// (graph, element size); WithConfig layers this request's timing
-	// parameters on without rebuilding either.
-	sys, err := s.hybridSystemFor(g, hcfg)
+	// the recipe (graph, element size); WithConfig layers this request's
+	// timing parameters on without rebuilding either.
+	sys, err := s.hybridSystemFor(g, r, hcfg)
 	if err != nil {
 		return err
 	}

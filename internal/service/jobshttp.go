@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/skew"
@@ -63,7 +62,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding job request: %v", err), ReasonBadRequest)
 		return
 	}
-	kind, run, canonical, err := s.prepareJob(&req)
+	kind, run, key, err := s.prepareJob(&req)
 	if err != nil {
 		writeError(w, statusOf(err), err.Error(), reasonOf(err))
 		return
@@ -72,7 +71,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		// Content-derived default ID: re-posting the identical work is a
 		// visible 409 instead of a silent duplicate computation.
-		id = kind + "-" + cacheKey("job:"+kind, canonical)[:12]
+		id = kind + "-" + key[:12]
 	}
 	j, err := s.jobs.Create(id, kind, raw, s.traceJob(r, kind, id, run))
 	switch {
@@ -117,38 +116,35 @@ func (s *Server) traceJob(r *http.Request, kind, id string, run jobs.RunFunc) jo
 }
 
 // prepareJob validates a JobRequest and binds its run function. It
-// returns the job kind, the runner, and the inner request's canonical
-// bytes (the basis of the default job ID).
-func (s *Server) prepareJob(req *JobRequest) (kind string, run jobs.RunFunc, canonical []byte, err error) {
+// returns the job kind, the runner, and the inner request's result key
+// — the one its sync endpoint caches under, and the basis of the
+// default job ID.
+func (s *Server) prepareJob(req *JobRequest) (kind string, run jobs.RunFunc, key string, err error) {
 	if req.Analyze != nil && req.Simulate != nil {
-		return "", nil, nil, badRequest("give exactly one of analyze and simulate, not both")
+		return "", nil, "", badRequest("give exactly one of analyze and simulate, not both")
 	}
 	chunk := req.ChunkTrials
 	if chunk <= 0 {
 		chunk = 256
 	}
+	var inner any
 	switch {
 	case req.Analyze != nil:
-		kind = "analyze"
+		kind, inner = "analyze", req.Analyze
 		req.Analyze.applyDefaults()
-		if canonical, err = canonicalize(req.Analyze); err != nil {
-			return "", nil, nil, err
-		}
 		run = s.runAnalyzeJob(req.Analyze, chunk)
 	case req.Simulate != nil:
-		kind = "simulate"
+		kind, inner = "simulate", req.Simulate
 		req.Simulate.applyDefaults()
-		if canonical, err = canonicalize(req.Simulate); err != nil {
-			return "", nil, nil, err
-		}
 		run = s.runSimulateJob(req.Simulate)
 	default:
-		return "", nil, nil, badRequest("job needs an analyze or simulate request")
+		return "", nil, "", badRequest("job needs an analyze or simulate request")
 	}
 	if req.Kind != "" && req.Kind != kind {
-		return "", nil, nil, badRequest("kind %q does not match the %s request given", req.Kind, kind)
+		return "", nil, "", badRequest("kind %q does not match the %s request given", req.Kind, kind)
 	}
-	return kind, run, canonical, nil
+	key, err = cacheKey(kind, inner)
+	return kind, run, key, err
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -332,6 +328,10 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 		if err != nil {
 			return nil, reasonOf(err), err
 		}
+		in, err := req.GraphInput.key()
+		if err != nil {
+			return nil, reasonOf(err), err
+		}
 		model, err := req.Model.build()
 		if err != nil {
 			return nil, reasonOf(err), err
@@ -348,8 +348,8 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 			if err := ctx.Err(); err != nil {
 				return nil, "", err
 			}
-			out := TreeAnalysis{Tree: treeName}
-			k, err := s.kernelFor(g, treeName, req.Equalize, req.BufferSpacing)
+			r := req.recipe(in, treeName)
+			k, err := s.kernelFor(g, r)
 			if err != nil {
 				// Mirror computeAnalyze: an oversize array falls back to the
 				// streamed path — publishing shard-level partials as the scan
@@ -361,7 +361,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 					if s.cfg.NoStreamedFallback {
 						return nil, ReasonArrayTooLarge, err
 					}
-					sa, err := s.streamedTreeAnalysis(ctx, g, treeName, req, model, func(p skew.StreamPartial) {
+					sa, err := s.streamedTreeAnalysis(ctx, g, r, req, model, func(p skew.StreamPartial) {
 						job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
 					})
 					if err != nil {
@@ -371,21 +371,11 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 					doneTrials += trials
 					continue
 				}
-				out.Error = err.Error()
-				resp.Results = append(resp.Results, out)
+				resp.Results = append(resp.Results, TreeAnalysis{Tree: treeName, Error: err.Error()})
 				doneTrials += trials
 				continue
 			}
-			tree := k.Tree()
-			analysis := k.Analyze(model)
-			out.Nodes = tree.NumNodes()
-			out.Buffers = tree.BufferCount()
-			out.TotalWireLength = tree.TotalWireLength()
-			out.MaxSkew = analysis.MaxSkew
-			out.WorstPair = [2]int{int(analysis.WorstPair.A), int(analysis.WorstPair.B)}
-			out.MaxD, out.MaxS = analysis.MaxD, analysis.MaxS
-			out.Pairs = analysis.Pairs
-			out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
+			out := req.kernelAnalysis(g, treeName, k, model)
 			if trials > 0 {
 				m := skew.Linear{M: req.Model.M, Eps: req.Model.Eps}
 				if err := m.Validate(); err != nil {
@@ -417,14 +407,6 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 					job.Publish(doneTrials, totalTrials, mcPartial(treeName, samples, trials))
 				}
 				out.MonteCarloMaxSkew = stats.Max(samples)
-			}
-			if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
-				cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-				if err != nil {
-					out.Error = err.Error()
-				} else {
-					out.CertifiedLowerBound = cert.Bound
-				}
 			}
 			resp.Results = append(resp.Results, out)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -35,9 +36,11 @@ import (
 type Config struct {
 	// CacheEntries bounds the result cache. Default 1024.
 	CacheEntries int
-	// KernelCacheEntries bounds the skew-kernel cache: precomputed
-	// (graph, tree) geometry shared across requests that differ only in
-	// model, trial count, or seed. Default 256.
+	// KernelCacheEntries bounds each of the four engine caches — skew
+	// kernels, streamers, clocksim kernels and hybrid systems — at this
+	// many entries apiece. Each holds per-recipe precomputations shared
+	// across requests that differ only in model, trial count, or seed.
+	// Default 256.
 	KernelCacheEntries int
 	// KernelLimits bounds the size of any one skew kernel the server
 	// will build. An oversize request is answered with HTTP 413 and
@@ -154,16 +157,14 @@ type Server struct {
 	cfg     Config
 	cache   *lru[response]
 	kernels *lru[*skew.Kernel]
-	// streamers caches the streamed path's per-(graph, tree recipe)
-	// precomputation — the CSR pair index plus a compact tree, ~8 B/pair
-	// against the kernel's ~40 — under the same content addressing as
-	// kernels but a distinct prefix.
+	// streamers caches the streamed path's per-recipe precomputation —
+	// the CSR pair index plus a compact tree, ~8 B/pair against the
+	// kernel's ~40 — under the same recipe keys as kernels.
 	streamers *lru[*skew.Streamer]
 	// simKernels and hybridSystems are the simulation engines' analogue
-	// of the skew-kernel cache: immutable per-(graph, recipe)
-	// precomputations reused across regimes, seeds, trial counts, and
-	// batch sweeps. One batched simulate over a fresh topology builds
-	// each at most once.
+	// of the skew-kernel cache: immutable per-recipe precomputations
+	// reused across regimes, seeds, trial counts, and batch sweeps. One
+	// batched simulate over a fresh topology builds each at most once.
 	simKernels    *lru[*clocksim.Kernel]
 	hybridSystems *lru[*hybrid.System]
 	flight        *flightGroup
@@ -375,8 +376,8 @@ type forwardSpec struct {
 }
 
 // affinityKeyer lets a request type override the ring routing key with
-// the content address of the kernel it will need, instead of its full
-// result key. Routing on kernel affinity is what makes each distinct
+// the key of the recipe it will need, instead of its full result key.
+// The engine caches use the same key, which is what makes each distinct
 // kernel build happen exactly once cluster-wide.
 type affinityKeyer interface {
 	affinityKey() (string, bool)
@@ -400,12 +401,11 @@ func decoded[R any](s *Server, endpoint string, defaults func(*R), timeoutMS fun
 			return
 		}
 		defaults(&req)
-		canonical, err := canonicalize(&req)
+		key, err := cacheKey(endpoint, &req)
 		if err != nil {
 			s.finish(w, r, endpoint, time.Now(), nil, response{}, err, "")
 			return
 		}
-		key := cacheKey(endpoint, canonical)
 		var fwd *forwardSpec
 		if s.cluster != nil {
 			fwd = &forwardSpec{routeKey: key, method: http.MethodPost, path: r.URL.Path, body: raw}
@@ -499,12 +499,11 @@ func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, "layout", time.Now(), nil, response{}, err, "")
 		return
 	}
-	canonical, err := canonicalize(req)
+	key, err := cacheKey("layout", req)
 	if err != nil {
 		s.finish(w, r, "layout", time.Now(), nil, response{}, err, "")
 		return
 	}
-	key := cacheKey("layout", canonical)
 	// Layouts stay local in cluster mode: they build no kernel, so there
 	// is no affinity to exploit and nothing worth a network hop.
 	s.serveKeyed(w, r, "layout", key, 0, nil, func(ctx context.Context) (response, error) {
@@ -522,31 +521,34 @@ func layoutRequestFromQuery(r *http.Request) (*LayoutRequest, error) {
 	if req.Topology.Kind == "" {
 		return nil, badRequest("layout needs a kind query parameter (linear, ring, mesh, hex, torus, tree)")
 	}
-	for name, dst := range map[string]*int{"n": &req.Topology.N, "rows": &req.Topology.Rows, "cols": &req.Topology.Cols} {
-		if v := q.Get(name); v != "" {
-			i, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, badRequest("query parameter %s: %v", name, err)
-			}
-			*dst = i
+	// Parameters parse in a fixed order, so a query with several
+	// malformed ones always names the same one in its 400.
+	for _, p := range []struct {
+		name string
+		dst  any
+	}{
+		{"n", &req.Topology.N}, {"rows", &req.Topology.Rows}, {"cols", &req.Topology.Cols},
+		{"equalize", &req.Equalize}, {"hybrid", &req.Hybrid},
+		{"spacing", &req.Spacing}, {"element_size", &req.ElementSize},
+	} {
+		v := q.Get(p.name)
+		if v == "" {
+			continue
 		}
-	}
-	for name, dst := range map[string]*bool{"equalize": &req.Equalize, "hybrid": &req.Hybrid} {
-		if v := q.Get(name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return nil, badRequest("query parameter %s: %v", name, err)
+		var err error
+		switch dst := p.dst.(type) {
+		case *int:
+			*dst, err = strconv.Atoi(v)
+		case *bool:
+			*dst, err = strconv.ParseBool(v)
+		case *float64:
+			// ParseFloat accepts NaN and ±Inf; no length is either.
+			if *dst, err = strconv.ParseFloat(v, 64); err == nil && (math.IsNaN(*dst) || math.IsInf(*dst, 0)) {
+				err = fmt.Errorf("%q is not a finite number", v)
 			}
-			*dst = b
 		}
-	}
-	for name, dst := range map[string]*float64{"spacing": &req.Spacing, "element_size": &req.ElementSize} {
-		if v := q.Get(name); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, badRequest("query parameter %s: %v", name, err)
-			}
-			*dst = f
+		if err != nil {
+			return nil, badRequest("query parameter %s: %v", p.name, err)
 		}
 	}
 	return req, nil

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -283,6 +285,13 @@ func TestErrorPaths(t *testing.T) {
 		{"post on layout", "POST", "/v1/layout.svg", "", 405, "method not allowed"},
 		{"layout without kind", "GET", "/v1/layout.svg", "", 400, "kind"},
 		{"unbuildable tree", "POST", "/v1/analyze", `{"topology":{"kind":"mesh","n":3},"trees":["bogus"]}`, 200, "unknown tree builder"},
+		// strconv accepts NaN and ±Inf; no length is either.
+		{"NaN spacing", "GET", "/v1/layout.svg?kind=mesh&n=4&tree=htree&spacing=NaN", "", 400, "query parameter spacing"},
+		{"+Inf spacing", "GET", "/v1/layout.svg?kind=mesh&n=4&tree=htree&spacing=%2BInf", "", 400, "query parameter spacing"},
+		{"-Inf spacing", "GET", "/v1/layout.svg?kind=mesh&n=4&tree=htree&spacing=-Inf", "", 400, "query parameter spacing"},
+		{"NaN element size", "GET", "/v1/layout.svg?kind=mesh&n=4&hybrid=true&element_size=NaN", "", 400, "query parameter element_size"},
+		{"+Inf element size", "GET", "/v1/layout.svg?kind=mesh&n=4&hybrid=true&element_size=Inf", "", 400, "query parameter element_size"},
+		{"-Inf element size", "GET", "/v1/layout.svg?kind=mesh&n=4&hybrid=true&element_size=-Inf", "", 400, "query parameter element_size"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,20 +458,132 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 	}
 }
 
+// Every recipe is its own kernel, including two descriptions of the
+// same graph: the key is the request's description (spec or inline
+// graph) plus the tree recipe, never the built graph. Describing a
+// graph differently costs a build, never a different answer.
 func TestKernelCacheDistinguishesRecipes(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	inline, err := comm.Build("mesh", 4, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := json.Marshal(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []string
 	for _, req := range []string{
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"]}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"],"equalize":true}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"],"buffer_spacing":2}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["spine"]}`,
+		`{"topology":{"kind":"mesh","rows":4,"cols":4},"trees":["htree"]}`,
+		`{"graph":` + string(graph) + `,"trees":["htree"]}`,
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/analyze", req)
 		if resp.StatusCode != 200 {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
+		var out struct {
+			Results json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, string(out.Results))
 	}
-	if got := s.metrics.kernelMisses.Value(); got != 4 {
-		t.Fatalf("kernel misses = %d, want 4 (every recipe differs)", got)
+	if got := s.metrics.kernelMisses.Value(); got != 6 {
+		t.Fatalf("kernel misses = %d, want 6 (every recipe differs)", got)
+	}
+	for i, name := range map[int]string{4: "rows/cols spec", 5: "inline graph"} {
+		if results[i] != results[0] {
+			t.Errorf("%s results differ from the n:4 spec's:\n%s\n%s", name, results[i], results[0])
+		}
+	}
+}
+
+// An analyze request, a clock-mode simulate and a streamed shard over
+// one recipe share a single key: the ring routes on it, and the kernel,
+// clocksim-kernel and streamer caches each store under it.
+func TestOneRecipeKeyAcrossRouteAndCaches(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const recipe = `"topology":{"kind":"mesh","n":6},"equalize":true`
+	analyze := `{` + recipe + `,"trees":["htree"]}`
+	simulate := `{` + recipe + `,"tree":"htree","regime":"random","trials":2}`
+	var an AnalyzeRequest
+	var sim SimulateRequest
+	if err := json.Unmarshal([]byte(analyze), &an); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(simulate), &sim); err != nil {
+		t.Fatal(err)
+	}
+	an.applyDefaults()
+	sim.applyDefaults()
+	route, ok := an.affinityKey()
+	if !ok {
+		t.Fatal("analyze request has no route key")
+	}
+	if simRoute, ok := sim.affinityKey(); !ok || simRoute != route {
+		t.Fatalf("simulate routes on %q, analyze on %q", simRoute, route)
+	}
+
+	for path, body := range map[string]string{"/v1/analyze": analyze, "/v1/simulate": simulate} {
+		if resp, b := postJSON(t, ts.URL+path, body); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, b)
+		}
+	}
+	shard := httptest.NewRecorder()
+	s.handleClusterShard(shard, httptest.NewRequest(http.MethodPost, "/v1/cluster/shard",
+		strings.NewReader(`{`+recipe+`,"tree":"htree","lo":0,"hi":4}`)))
+	if shard.Code != 200 {
+		t.Fatalf("shard: status %d: %s", shard.Code, shard.Body)
+	}
+
+	for name, keys := range map[string][]string{
+		"kernel":   entryKeys(s.kernels),
+		"clocksim": entryKeys(s.simKernels),
+		"streamer": entryKeys(s.streamers),
+	} {
+		if len(keys) != 1 || keys[0] != route {
+			t.Errorf("%s cache keys %q, want exactly the route key %q", name, keys, route)
+		}
+	}
+	if got := s.metrics.kernelMisses.Value(); got != 2 {
+		t.Errorf("kernel misses = %d, want 2 (one kernel, one streamer)", got)
+	}
+}
+
+func entryKeys[V any](c *lru[V]) []string {
+	var keys []string
+	for _, e := range c.Entries() {
+		keys = append(keys, e.Key)
+	}
+	return keys
+}
+
+// A query with several malformed parameters always names the same one.
+func TestLayoutQueryErrorsAreDeterministic(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var first string
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(ts.URL + "/v1/layout.svg?kind=mesh&n=x&rows=y&cols=z&equalize=q&spacing=w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if i == 0 {
+			first = string(body)
+			if !strings.Contains(first, "query parameter n:") {
+				t.Fatalf("error names %s, want the first parameter n", first)
+			}
+		} else if string(body) != first {
+			t.Fatalf("request %d answered %s, request 0 answered %s", i, body, first)
+		}
 	}
 }

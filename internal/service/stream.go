@@ -43,22 +43,20 @@ func buildStreamTree(name string, g *comm.Graph, equalize bool, spacing float64)
 	return buildTree(name, g, equalize, spacing)
 }
 
-// streamerFor returns the cached skew.Streamer for (g, tree recipe),
+// streamerFor returns the cached skew.Streamer for recipe r over g,
 // building the (compact where possible) tree and streamer on a miss.
-// Content-addressed exactly like kernelFor, under a distinct prefix so
-// the two caches never alias.
-func (s *Server) streamerFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*skew.Streamer, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
+// Keyed exactly like kernelFor, in its own LRU.
+func (s *Server) streamerFor(g *comm.Graph, r recipe) (*skew.Streamer, error) {
+	key, err := r.key()
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("streamer", canonical)
 	if st, ok := s.streamers.Get(key); ok {
 		s.metrics.kernelHits.Add(1)
 		return st, nil
 	}
 	s.metrics.kernelMisses.Add(1)
-	t, err := buildStreamTree(tree, g, equalize, spacing)
+	t, err := buildStreamTree(r.Tree, g, r.Equalize, r.Spacing)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +72,7 @@ func (s *Server) streamerFor(g *comm.Graph, tree string, equalize bool, spacing 
 // streamed analysis: configured shard size, the request fan-out worker
 // budget, the request's Monte-Carlo sampling parameters, and — in
 // cluster mode with peer shards enabled — the spill hook.
-func (s *Server) streamOptions(treeName string, req *AnalyzeRequest, progress func(skew.StreamPartial)) skew.StreamOptions {
+func (s *Server) streamOptions(r recipe, req *AnalyzeRequest, progress func(skew.StreamPartial)) skew.StreamOptions {
 	opt := skew.StreamOptions{
 		ShardSize: s.cfg.StreamShardSize,
 		Workers:   s.cfg.Workers,
@@ -83,7 +81,7 @@ func (s *Server) streamOptions(treeName string, req *AnalyzeRequest, progress fu
 		Progress:  progress,
 	}
 	if s.cluster != nil && s.cfg.StreamPeerShards {
-		opt.ShardFn = s.peerShardFn(treeName, req)
+		opt.ShardFn = s.peerShardFn(r, req)
 	}
 	return opt
 }
@@ -92,9 +90,9 @@ func (s *Server) streamOptions(treeName string, req *AnalyzeRequest, progress fu
 // streamed path and reports it in TreeAnalysis form, marked with the
 // streamed metadata. It is the 413 fallback: callers reach it only
 // after kernelFor rejected the pair count for size.
-func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeName string, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
-	out := TreeAnalysis{Tree: treeName, Streamed: true}
-	st, err := s.streamerFor(g, treeName, req.Equalize, req.BufferSpacing)
+func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, r recipe, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
+	out := TreeAnalysis{Tree: r.Tree, Streamed: true}
+	st, err := s.streamerFor(g, r)
 	if err != nil {
 		// Same inline-vs-typed split as the kernel path: a builder that
 		// does not apply reports inline; typed statuses propagate.
@@ -106,15 +104,12 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeNa
 		return out, nil
 	}
 	s.metrics.streamedFallbacks.Add(1)
-	res, err := st.Analyze(ctx, model, s.streamOptions(treeName, req, progress))
+	res, err := st.Analyze(ctx, model, s.streamOptions(r, req, progress))
 	if err != nil {
 		return out, err
 	}
 	s.metrics.streamedShards.Add(int64(res.Shards))
-	tree := st.Tree()
-	out.Nodes = tree.NumNodes()
-	out.Buffers = tree.BufferCount()
-	out.TotalWireLength = tree.TotalWireLength()
+	req.fillTree(&out, g, st.Tree())
 	out.MaxSkew = res.MaxSkew
 	out.WorstPair = [2]int{int(res.WorstPair.A), int(res.WorstPair.B)}
 	out.MaxD, out.MaxS = res.MaxD, res.MaxS
@@ -125,17 +120,6 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeNa
 	out.SkewP50, out.SkewP90, out.SkewP99 = res.P50, res.P90, res.P99
 	out.QuantileRelError = res.QuantileRelError
 	out.Sampled = res.Sampled
-	if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
-		// The certified bound needs a full tree; on the compact trees the
-		// streamed path prefers, it reports its inapplicability inline
-		// rather than silently vanishing.
-		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-		if err != nil {
-			out.Error = err.Error()
-		} else {
-			out.CertifiedLowerBound = cert.Bound
-		}
-	}
 	return out, nil
 }
 
@@ -186,7 +170,14 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	if req.Tree == "" {
 		req.Tree = "htree"
 	}
-	st, err := s.streamerFor(g, req.Tree, req.Equalize, req.Spacing)
+	// The same recipe, and so the same cache entry, as the analyze
+	// request that spilled the shard.
+	in, err := req.GraphInput.key()
+	if err != nil {
+		writeError(w, statusOf(err), err.Error(), reasonOf(err))
+		return
+	}
+	st, err := s.streamerFor(g, newRecipe(in, SimulateConfig{Tree: req.Tree, Equalize: req.Equalize, BufferSpacing: req.Spacing}))
 	if err != nil {
 		writeError(w, statusOf(err), err.Error(), reasonOf(err))
 		return
@@ -208,19 +199,18 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerShardFn returns the StreamOptions.ShardFn that spills shards to
-// their ring owners: each shard routes by (streamer identity, shard
-// index), shards owned by this node — or whose owner is down, or whose
+// their ring owners: each shard routes by (recipe key, shard index),
+// shards owned by this node — or whose owner is down, or whose
 // call fails — return false and compute locally. Best-effort by design:
 // spill never changes results, only where the arithmetic runs.
-func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx context.Context, lo, hi int64) (skew.ShardStats, bool) {
+func (s *Server) peerShardFn(r recipe, req *AnalyzeRequest) func(ctx context.Context, lo, hi int64) (skew.ShardStats, bool) {
 	body := shardRequest{
 		GraphInput: req.GraphInput,
-		Tree:       treeName, Equalize: req.Equalize, Spacing: req.BufferSpacing,
+		Tree:       r.Tree, Equalize: r.Equalize, Spacing: r.Spacing,
 		Model: req.Model,
 	}
-	id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: treeName, Equalize: req.Equalize, Spacing: req.BufferSpacing}
-	base, ok := id.key()
-	if !ok {
+	base, err := r.key()
+	if err != nil {
 		return nil
 	}
 	return func(ctx context.Context, lo, hi int64) (skew.ShardStats, bool) {

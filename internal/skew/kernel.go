@@ -24,9 +24,9 @@ import (
 // A Kernel is safe for concurrent use: Analyze and GuaranteedMinSkew
 // only read, and Monte-Carlo scratch state lives in a sync.Pool of
 // per-worker arenas, so steady-state trials allocate nothing. The
-// serving stack caches Kernels by content-addressed (graph, tree) hash
-// and reuses them across requests with different models, trials, and
-// seeds.
+// serving stack caches Kernels by the request's recipe (graph input
+// plus tree recipe) and reuses them across requests with different
+// models, trials, and seeds.
 type Kernel struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree

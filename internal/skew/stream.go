@@ -30,8 +30,8 @@ const DefaultMCSampleCap = 1 << 16
 // cell→tree-node table, and a pool of per-worker shard arenas, so the
 // resident cost is O(cells), not O(pairs)·40 B like the kernel — this
 // is the path that breaks the kernel byte ceiling. Safe for concurrent
-// use; the serving stack caches Streamers content-addressed exactly as
-// it caches Kernels.
+// use; the serving stack caches Streamers by recipe exactly as it
+// caches Kernels.
 type Streamer struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree
