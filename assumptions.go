@@ -24,7 +24,7 @@ var paperAssumptions = map[string]PaperAssumption{
 		Statement: "Intercell communications of an ideally synchronized array are a " +
 			"directed graph COMM laid out in the plane; each edge carries one data " +
 			"item per cycle between communicating cells.",
-		Implementation: "internal/comm (Graph, CommunicatingPairs); internal/array (RunIdeal)",
+		Implementation: "internal/comm (Graph, PairIndex); internal/array (RunIdeal)",
 		Experiments:    []string{"E1", "E3", "E8"},
 	},
 	"A2": {
@@ -50,7 +50,7 @@ var paperAssumptions = map[string]PaperAssumption{
 		ID: "A5",
 		Statement: "A clocked system may be driven with clock period σ + δ + τ (skew " +
 			"plus compute/propagate delay plus distribution time).",
-		Implementation: "internal/array (RunClocked, MinWorkingPeriod); internal/core (Plan.Period)",
+		Implementation: "internal/array (RunClocked, MinWorkingPeriod, MaxCommSkew: σ over comm.PairIndex's communicating pairs); internal/core (Plan.Period)",
 		Experiments:    []string{"E9"},
 	},
 	"A6": {

@@ -190,10 +190,11 @@ func runE13(rc *runCtx) (*ExperimentResult, error) {
 func worstSummationPair(g *comm.Graph, tree *clocktree.Tree) (comm.CellID, comm.CellID) {
 	var a, b comm.CellID
 	var worst float64
-	for _, p := range g.CommunicatingPairs() {
-		if s := tree.CellPathLen(p[0], p[1]); s > worst {
+	c := g.PairIndex().Cursor(0)
+	for ca, cb, ok := c.Next(); ok; ca, cb, ok = c.Next() {
+		if s := tree.CellPathLen(ca, cb); s > worst {
 			worst = s
-			a, b = p[0], p[1]
+			a, b = ca, cb
 		}
 	}
 	return a, b

@@ -280,8 +280,9 @@ func UniformOffsets(n int) Offsets { return Offsets{Cell: make([]float64, n)} }
 // on host edges) — the σ of assumption A5 for these offsets.
 func (m *Machine) MaxCommSkew(off Offsets) float64 {
 	var worst float64
-	for _, p := range m.g.CommunicatingPairs() {
-		if d := math.Abs(off.Cell[p[0]] - off.Cell[p[1]]); d > worst {
+	c := m.g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if d := math.Abs(off.Cell[a] - off.Cell[b]); d > worst {
 			worst = d
 		}
 	}

@@ -81,12 +81,13 @@ func (a *Arrivals) CellArrival(c comm.CellID) (float64, error) {
 // communicating cells of g.
 func (a *Arrivals) MaxCommSkew(g *comm.Graph) (float64, error) {
 	var worst float64
-	for _, p := range g.CommunicatingPairs() {
-		ta, err := a.CellArrival(p[0])
+	c := g.PairIndex().Cursor(0)
+	for ca, cb, ok := c.Next(); ok; ca, cb, ok = c.Next() {
+		ta, err := a.CellArrival(ca)
 		if err != nil {
 			return 0, err
 		}
-		tb, err := a.CellArrival(p[1])
+		tb, err := a.CellArrival(cb)
 		if err != nil {
 			return 0, err
 		}

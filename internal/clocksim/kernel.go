@@ -45,8 +45,8 @@ type Kernel struct {
 	length   []float64
 	buffered []bool
 
-	pairs        [][2]comm.CellID // shared with graph's memoized list
-	pairA, pairB []int32          // tree-node index of each pair's endpoints
+	ix           *comm.PairIndex // the graph's index (nil for tree-only kernels)
+	pairA, pairB []int32         // tree-node index of each pair's endpoints
 
 	worstBuffers int // max root-path buffer count over nodes
 
@@ -70,12 +70,14 @@ func NewKernel(g *comm.Graph, tree *clocktree.Tree) (*Kernel, error) {
 	}
 	k := newTreeKernel(tree)
 	k.graph = g
-	k.pairs = g.CommunicatingPairs()
-	k.pairA = make([]int32, len(k.pairs))
-	k.pairB = make([]int32, len(k.pairs))
-	for i, p := range k.pairs {
-		na, _ := tree.CellNode(p[0])
-		nb, _ := tree.CellNode(p[1])
+	k.ix = g.PairIndex()
+	k.pairA = make([]int32, k.ix.NumPairs())
+	k.pairB = make([]int32, k.ix.NumPairs())
+	c := k.ix.Cursor(0)
+	for i := range k.pairA {
+		a, b, _ := c.Next() // the cursor yields exactly len(pairA) pairs
+		na, _ := tree.CellNode(a)
+		nb, _ := tree.CellNode(b)
 		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
 	}
 	return k, nil
@@ -135,7 +137,12 @@ func (k *Kernel) Graph() *comm.Graph { return k.graph }
 
 // Pairs returns the number of communicating pairs (0 for tree-only
 // kernels).
-func (k *Kernel) Pairs() int { return len(k.pairs) }
+func (k *Kernel) Pairs() int { return len(k.pairA) }
+
+// PairIndex returns the communicating-pair index the kernel was built
+// from, or nil for tree-only kernels. Pair i of the index is the pair
+// the kernel's i-th pair arrays describe.
+func (k *Kernel) PairIndex() *comm.PairIndex { return k.ix }
 
 // errNeedRNG and errNotClocked keep kernel and reference error text
 // identical, so differential tests can compare failure modes too.

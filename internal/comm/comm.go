@@ -9,7 +9,6 @@ package comm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -69,15 +68,15 @@ type Graph struct {
 
 	byPos map[[2]int]CellID
 
-	// memo caches derived pair geometry. It is a pointer so Graph values
+	// memo caches the pair index. It is a pointer so Graph values
 	// remain assignable (UnmarshalJSON) without copying a sync.Once; the
 	// package constructors allocate it, and a nil memo (hand-built Graph
 	// literals) degrades to uncached enumeration.
 	memo *graphMemo
 }
 
-// graphMemo holds the communicating-pair list, computed once on first
-// use. After that first use the edge set is frozen: the pair list is
+// graphMemo holds the graph's CSR pair index (PairIndex), built once on
+// first use. After that first use the edge set is frozen: the index is
 // what every analysis engine iterates, so a mutation that silently
 // missed it would corrupt results. numEdges and fingerprint record the
 // edge count and an FNV-1a content hash at memoization time to detect
@@ -85,23 +84,14 @@ type Graph struct {
 // that rewires an edge in place.
 type graphMemo struct {
 	once        sync.Once
-	pairs       [][2]CellID
+	idx         *PairIndex
 	numEdges    int
 	fingerprint uint64
-
-	// The CSR pair index (PairIndex) memoizes independently: streamed
-	// analysis must be able to build it without ever materializing the
-	// flat pair slice above, so the two caches share nothing but the
-	// same freeze-on-first-use contract.
-	idxOnce        sync.Once
-	idx            *PairIndex
-	idxNumEdges    int
-	idxFingerprint uint64
 }
 
 // edgeFingerprint hashes the edge set's content (endpoints and labels,
 // in order) with FNV-1a. It is O(edges) with no allocation — cheap
-// enough to recompute on every CommunicatingPairs call — and changes
+// enough to recompute on every PairIndex call — and changes
 // under any in-place edge rewrite, including count-preserving ones.
 func (g *Graph) edgeFingerprint() uint64 {
 	const (
@@ -152,59 +142,20 @@ func (g *Graph) CellAt(row, col int) (Cell, bool) {
 
 // CommunicatingPairs returns every unordered pair of distinct cells joined
 // by at least one communication edge (host edges excluded), each pair once
-// with a < b. These are exactly the pairs whose clock skew matters (A5).
+// with a < b, in PairIndex order (a-major, b-ascending). These are exactly
+// the pairs whose clock skew matters (A5).
 //
-// The list is computed once and memoized: every analysis engine iterates
-// it, often many times per graph, and the map-and-sort enumeration
-// dominated their setup cost. The returned slice is shared — callers must
-// not modify it. After the first call the graph's edge set is frozen;
-// appending to Edges — or rewriting an edge in place, even preserving
-// the count — panics on the next call rather than silently analyzing a
-// stale pair list. (Graphs built as bare literals,
-// without the package constructors, skip memoization and recompute.)
+// It is a fresh expansion of PairIndex at 16 bytes per pair, kept for
+// callers that want the pairs as values; engines iterate the index with a
+// PairCursor instead. The freeze-on-first-use contract is PairIndex's: a
+// mutation of the edge set after the first call panics.
 func (g *Graph) CommunicatingPairs() [][2]CellID {
-	if g.memo == nil {
-		return g.communicatingPairsUncached()
+	ix := g.PairIndex()
+	out := make([][2]CellID, 0, ix.NumPairs())
+	c := ix.Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		out = append(out, [2]CellID{a, b})
 	}
-	g.memo.once.Do(func() {
-		g.memo.pairs = g.communicatingPairsUncached()
-		g.memo.numEdges = len(g.Edges)
-		g.memo.fingerprint = g.edgeFingerprint()
-	})
-	if len(g.Edges) != g.memo.numEdges {
-		panic(fmt.Sprintf("comm: graph %q mutated after first CommunicatingPairs call (%d edges then, %d now)",
-			g.Name, g.memo.numEdges, len(g.Edges)))
-	}
-	if fp := g.edgeFingerprint(); fp != g.memo.fingerprint {
-		panic(fmt.Sprintf("comm: graph %q edges rewritten after first CommunicatingPairs call (content fingerprint %x then, %x now)",
-			g.Name, g.memo.fingerprint, fp))
-	}
-	return g.memo.pairs
-}
-
-// communicatingPairsUncached enumerates, dedups, and sorts the pair list.
-func (g *Graph) communicatingPairsUncached() [][2]CellID {
-	seen := make(map[[2]CellID]bool)
-	for _, e := range g.Edges {
-		if e.From == Host || e.To == Host || e.From == e.To {
-			continue
-		}
-		a, b := e.From, e.To
-		if a > b {
-			a, b = b, a
-		}
-		seen[[2]CellID{a, b}] = true
-	}
-	out := make([][2]CellID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -234,9 +185,10 @@ func (g *Graph) Bounds() geom.Rect {
 // machinery of Section V-B.
 func (g *Graph) Undirected() *graph.Graph {
 	u := graph.New(len(g.Cells))
-	for _, p := range g.CommunicatingPairs() {
-		if err := u.AddEdge(int(p[0]), int(p[1])); err != nil {
-			panic(err) // CommunicatingPairs deduplicates, so this cannot happen
+	c := g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if err := u.AddEdge(int(a), int(b)); err != nil {
+			panic(err) // PairIndex deduplicates, so this cannot happen
 		}
 	}
 	return u
@@ -247,8 +199,9 @@ func (g *Graph) Undirected() *graph.Graph {
 // this must remain O(1) as the array grows.
 func (g *Graph) MaxEdgeLength() float64 {
 	var m float64
-	for _, p := range g.CommunicatingPairs() {
-		if d := g.Cells[p[0]].Pos.Dist(g.Cells[p[1]].Pos); d > m {
+	c := g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if d := g.Cells[a].Pos.Dist(g.Cells[b].Pos); d > m {
 			m = d
 		}
 	}

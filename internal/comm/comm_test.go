@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,9 @@ func TestCommunicatingPairsSortedAndUniqueProperty(t *testing.T) {
 			return false
 		}
 		pairs := g.CommunicatingPairs()
+		if !slices.Equal(pairs, referencePairs(g)) {
+			return false
+		}
 		for i := 1; i < len(pairs); i++ {
 			if pairs[i][0] < pairs[i-1][0] ||
 				(pairs[i][0] == pairs[i-1][0] && pairs[i][1] <= pairs[i-1][1]) {
@@ -377,31 +381,19 @@ func TestCombLinearLayout(t *testing.T) {
 	}
 }
 
-func TestCommunicatingPairsMemoized(t *testing.T) {
-	g, err := Mesh(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := g.CommunicatingPairs()
-	b := g.CommunicatingPairs()
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("CommunicatingPairs not memoized: distinct backing arrays")
-	}
-}
-
 func TestCommunicatingPairsMemoizedConcurrent(t *testing.T) {
 	g, err := Mesh(6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(g.communicatingPairsUncached())
-	done := make(chan int, 8)
+	want := referencePairs(g)
+	done := make(chan [][2]CellID, 8)
 	for i := 0; i < 8; i++ {
-		go func() { done <- len(g.CommunicatingPairs()) }()
+		go func() { done <- g.CommunicatingPairs() }()
 	}
 	for i := 0; i < 8; i++ {
-		if got := <-done; got != want {
-			t.Fatalf("concurrent CommunicatingPairs len = %d, want %d", got, want)
+		if got := <-done; !slices.Equal(got, want) {
+			t.Fatalf("concurrent CommunicatingPairs = %v, want %v", got, want)
 		}
 	}
 }

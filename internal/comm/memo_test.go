@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,8 +31,8 @@ func TestCommunicatingPairsRepeatedCallsStable(t *testing.T) {
 	}
 	first := g.CommunicatingPairs()
 	second := g.CommunicatingPairs()
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("memoized pair lists differ: %d vs %d", len(first), len(second))
+	if len(first) == 0 || !slices.Equal(first, second) {
+		t.Fatalf("repeated pair lists differ: %v vs %v", first, second)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // PairIndex is a compressed-sparse-row view of a graph's communicating
 // pairs: for each cell a, the ascending list of partners b > a such that
 // {a, b} share at least one communication edge (host edges and self-loops
-// excluded). Enumerating rows in order visits exactly the pairs
-// CommunicatingPairs returns, in the same order — a-major, b-ascending,
-// each unordered pair once — but at ~8 bytes per pair instead of the 16
-// bytes of the flat slice, and without the map-backed dedup transient.
-// It exists so the streamed analysis path can iterate arbitrary pair
-// ranges (shards) with a cursor, never holding all pairs as values.
+// excluded). Enumerating rows in order visits each unordered pair once,
+// a-major and b-ascending — the canonical pair order every engine, shard
+// and worst-pair tie-break is defined over. It is the graph's only pair
+// enumeration: 4 bytes per pair plus 8 per cell, with no map-backed dedup
+// transient. Cursor walks arbitrary contiguous ranges (the streamed path's
+// shards) without holding any pair as a value.
 type PairIndex struct {
 	rowStart []int64 // per-cell offsets into adj; len NumCells+1
 	adj      []int32 // partner b of each pair (a, b); b ascending within a row
@@ -79,30 +79,35 @@ func (c *PairCursor) Next() (a, b CellID, ok bool) {
 }
 
 // PairIndex returns the graph's CSR communicating-pair index, built once
-// and memoized under the same freeze-on-first-use contract as
-// CommunicatingPairs: after the first call, mutating the edge set panics
-// on the next call rather than silently indexing a stale pair set. The
-// index memoizes independently of the flat pair slice, so calling
-// PairIndex never materializes CommunicatingPairs (and vice versa) —
-// that separation is what lets oversize graphs stream without paying the
-// 16-byte-per-pair slice. Graphs built as bare literals (nil memo)
-// recompute uncached.
+// and memoized. It is also the graph's freeze-on-first-use guard: after
+// the first PairIndex (or CommunicatingPairs) call, mutating the edge
+// set — appending, or rewriting an edge in place even preserving the
+// count — panics on the next call rather than silently indexing a stale
+// pair set. Each call re-hashes the edge list to check, so engines fetch
+// the index once and keep it. The returned index is shared; callers must
+// not modify it. Graphs built as bare literals (nil memo) recompute
+// uncached.
 func (g *Graph) PairIndex() *PairIndex {
 	if g.memo == nil {
 		return g.pairIndexUncached()
 	}
-	g.memo.idxOnce.Do(func() {
+	built := false
+	g.memo.once.Do(func() {
 		g.memo.idx = g.pairIndexUncached()
-		g.memo.idxNumEdges = len(g.Edges)
-		g.memo.idxFingerprint = g.edgeFingerprint()
+		g.memo.numEdges = len(g.Edges)
+		g.memo.fingerprint = g.edgeFingerprint()
+		built = true
 	})
-	if len(g.Edges) != g.memo.idxNumEdges {
-		panic(fmt.Sprintf("comm: graph %q mutated after first PairIndex call (%d edges then, %d now)",
-			g.Name, g.memo.idxNumEdges, len(g.Edges)))
+	if built {
+		return g.memo.idx // fingerprinted just now; no need to hash twice
 	}
-	if fp := g.edgeFingerprint(); fp != g.memo.idxFingerprint {
-		panic(fmt.Sprintf("comm: graph %q edges rewritten after first PairIndex call (content fingerprint %x then, %x now)",
-			g.Name, g.memo.idxFingerprint, fp))
+	if len(g.Edges) != g.memo.numEdges {
+		panic(fmt.Sprintf("comm: graph %q mutated after first CommunicatingPairs or PairIndex call (%d edges then, %d now)",
+			g.Name, g.memo.numEdges, len(g.Edges)))
+	}
+	if fp := g.edgeFingerprint(); fp != g.memo.fingerprint {
+		panic(fmt.Sprintf("comm: graph %q edges rewritten after first CommunicatingPairs or PairIndex call (content fingerprint %x then, %x now)",
+			g.Name, g.memo.fingerprint, fp))
 	}
 	return g.memo.idx
 }

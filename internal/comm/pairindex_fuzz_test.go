@@ -6,11 +6,13 @@ package comm
 // boundary (a row edge, an empty row run, the final partial shard)
 // would silently corrupt exact-max results. The fuzzer builds arbitrary
 // small graphs — host edges, self-loops, duplicate and reversed edges
-// included — and checks that sharded cursor walks reproduce
-// CommunicatingPairs exactly for an arbitrary shard size. Seed corpus
+// included — and checks that sharded cursor walks reproduce the
+// independent map-dedup enumeration (referencePairs) exactly for an
+// arbitrary shard size. Seed corpus
 // lives in testdata/fuzz/; CI runs the target briefly as a smoke test.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -50,10 +52,13 @@ func FuzzPairIndexShards(f *testing.F) {
 			return
 		}
 		g := fuzzGraph(data)
-		pairs := g.CommunicatingPairs()
+		pairs := referencePairs(g)
 		ix := g.PairIndex()
 		if ix.NumPairs() != int64(len(pairs)) {
-			t.Fatalf("NumPairs = %d, CommunicatingPairs has %d", ix.NumPairs(), len(pairs))
+			t.Fatalf("NumPairs = %d, reference has %d", ix.NumPairs(), len(pairs))
+		}
+		if got := g.CommunicatingPairs(); !slices.Equal(got, pairs) {
+			t.Fatalf("CommunicatingPairs = %v, want %v", got, pairs)
 		}
 		shard := int64(shardSize%64) + 1
 		var idx int64

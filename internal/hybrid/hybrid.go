@@ -109,8 +109,9 @@ func New(g *comm.Graph, cfg Config) (*System, error) {
 	}
 	s.adj = make([][]int, len(s.elements))
 	adjSet := make(map[[2]int]bool)
-	for _, p := range g.CommunicatingPairs() {
-		a, b := s.elementOf[p[0]], s.elementOf[p[1]]
+	c := g.PairIndex().Cursor(0)
+	for ca, cb, ok := c.Next(); ok; ca, cb, ok = c.Next() {
+		a, b := s.elementOf[ca], s.elementOf[cb]
 		if a == b {
 			continue
 		}

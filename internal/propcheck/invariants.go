@@ -355,20 +355,19 @@ func checkClocksimKernelMatchesReference(rng *stats.RNG) error {
 		return fmt.Errorf("%s on %s fault seed=%d: kernel fault tallies %+v != reference %+v",
 			g.Name, tree.Name, faultSeed, injK.Counts(), injR.Counts())
 	}
-	pairs := g.CommunicatingPairs()
-	if len(pairs) > 0 {
-		pair := pairs[rng.Intn(len(pairs))]
-		ka, err := k.AdversarialSkew(p, pair[0], pair[1])
+	if ix := g.PairIndex(); ix.NumPairs() > 0 {
+		a, b := ix.Pair(int64(rng.Intn(int(ix.NumPairs()))))
+		ka, err := k.AdversarialSkew(p, a, b)
 		if err != nil {
 			return err
 		}
-		ra, err := refSkew(clocksim.ReferenceAdversarial(tree, p, pair[0], pair[1]))
+		ra, err := refSkew(clocksim.ReferenceAdversarial(tree, p, a, b))
 		if err != nil {
 			return err
 		}
 		if ka != ra {
 			return fmt.Errorf("%s on %s pair (%d,%d): kernel adversarial skew %g != reference %g",
-				g.Name, tree.Name, pair[0], pair[1], ka, ra)
+				g.Name, tree.Name, a, b, ka, ra)
 		}
 	}
 	if kd, rd := k.MaxEventDrift(p), clocksim.ReferenceMaxEventDrift(tree, p); kd != rd {
@@ -613,34 +612,34 @@ func checkAdversarialAchievesLowerBound(rng *stats.RNG) error {
 	if err != nil {
 		return err
 	}
-	pairs := g.CommunicatingPairs()
-	if len(pairs) == 0 {
+	ix := g.PairIndex()
+	if ix.NumPairs() == 0 {
 		return fmt.Errorf("%s has no communicating pairs", g.Name)
 	}
-	pair := pairs[rng.Intn(len(pairs))]
+	a, b := ix.Pair(int64(rng.Intn(int(ix.NumPairs()))))
 	m := LinearModel(rng)
-	arr, err := clocksim.Adversarial(tree, clocksim.Params{M: m.M, Eps: m.Eps}, pair[0], pair[1])
+	arr, err := clocksim.Adversarial(tree, clocksim.Params{M: m.M, Eps: m.Eps}, a, b)
 	if err != nil {
 		return err
 	}
-	ta, err := arr.CellArrival(pair[0])
+	ta, err := arr.CellArrival(a)
 	if err != nil {
 		return err
 	}
-	tb, err := arr.CellArrival(pair[1])
+	tb, err := arr.CellArrival(b)
 	if err != nil {
 		return err
 	}
 	// Slow wires toward a, fast toward b: the arrival gap is exactly
 	// M·(da−db) + Eps·(da+db) = M·d_signed + Eps·s, which for equidistant
 	// cells (the Theorem 2 regime) is A11's Eps·s.
-	na, _ := tree.CellNode(pair[0])
-	nb, _ := tree.CellNode(pair[1])
+	na, _ := tree.CellNode(a)
+	nb, _ := tree.CellNode(b)
 	got := ta - tb
-	want := m.M*(tree.RootDist(na)-tree.RootDist(nb)) + m.Eps*tree.CellPathLen(pair[0], pair[1])
+	want := m.M*(tree.RootDist(na)-tree.RootDist(nb)) + m.Eps*tree.CellPathLen(a, b)
 	if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		return fmt.Errorf("%s on %s pair (%d,%d): adversarial arrival gap %g, want M·d+Eps·s = %g",
-			g.Name, tree.Name, pair[0], pair[1], got, want)
+			g.Name, tree.Name, a, b, got, want)
 	}
 	an, err := skew.Analyze(g, tree, m)
 	if err != nil {

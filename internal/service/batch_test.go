@@ -64,7 +64,8 @@ func TestSimulateBatchMatchesSingleRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	batch := `{"topology":{"kind":"linear","n":12},"configs":[
 		{"regime":"random","trials":4,"seed":7,"params":{"eps":0.1,"min_separation":0.5}},
-		{"mode":"hybrid","seed":5,"hybrid":{"element_size":4,"waves":8}}
+		{"mode":"hybrid","seed":5,"hybrid":{"element_size":4,"waves":8}},
+		{"regime":"adversarial","pair":[3,4],"params":{"eps":0.2}}
 	]}`
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", batch)
 	if resp.StatusCode != 200 {
@@ -77,6 +78,7 @@ func TestSimulateBatchMatchesSingleRequests(t *testing.T) {
 	singles := []string{
 		`{"topology":{"kind":"linear","n":12},"regime":"random","trials":4,"seed":7,"params":{"eps":0.1,"min_separation":0.5}}`,
 		`{"topology":{"kind":"linear","n":12},"mode":"hybrid","seed":5,"hybrid":{"element_size":4,"waves":8}}`,
+		`{"topology":{"kind":"linear","n":12},"regime":"adversarial","pair":[3,4],"params":{"eps":0.2}}`,
 	}
 	for i, single := range singles {
 		_, ts2 := newTestServer(t, Config{})

@@ -930,13 +930,15 @@ func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, r recipe, cfg
 	}
 	var pair [2]comm.CellID
 	if cfg.Regime == "adversarial" {
-		pairs := g.CommunicatingPairs()
-		if len(pairs) == 0 {
+		// The pair count and the default pair come from the kernel's
+		// index; an explicit pair needs no enumeration at all.
+		if k.Pairs() == 0 {
 			return unprocessable(fmt.Errorf("service: graph %q has no communicating pairs", g.Name))
 		}
-		pair = pairs[0]
 		if cfg.Pair != nil {
 			pair = [2]comm.CellID{comm.CellID(cfg.Pair[0]), comm.CellID(cfg.Pair[1])}
+		} else {
+			pair[0], pair[1] = k.PairIndex().Pair(0)
 		}
 	}
 	rng := stats.NewRNG(cfg.Seed)

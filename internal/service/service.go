@@ -158,8 +158,8 @@ type Server struct {
 	cache   *lru[response]
 	kernels *lru[*skew.Kernel]
 	// streamers caches the streamed path's per-recipe precomputation —
-	// the CSR pair index plus a compact tree, ~8 B/pair against the
-	// kernel's ~40 — under the same recipe keys as kernels.
+	// the CSR pair index plus a compact tree, 4 B/pair against the
+	// kernel's 24 — under the same recipe keys as kernels.
 	streamers *lru[*skew.Streamer]
 	// simKernels and hybridSystems are the simulation engines' analogue
 	// of the skew-kernel cache: immutable per-recipe precomputations

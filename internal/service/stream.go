@@ -252,8 +252,8 @@ func (s *Server) peerShardFn(r recipe, req *AnalyzeRequest) func(ctx context.Con
 }
 
 // kernelBytesInUse estimates the resident bytes of every cached engine
-// precomputation on the skew path — kernels (40 B/pair class) and
-// streamers (8 B/pair class) — the gauge operators watch against the
+// precomputation on the skew path — kernels (24 B/pair class) and
+// streamers (4 B/pair class) — the gauge operators watch against the
 // configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {
 	var total int64

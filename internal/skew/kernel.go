@@ -14,7 +14,8 @@ import (
 // makes every skew query array indexing. Built once — O(pairs) LCA
 // queries, each O(1) via the tree's Euler-tour table — it caches:
 //
-//   - the communicating-pair list resolved to flat tree-node indices,
+//   - the communicating pairs, in the graph's PairIndex order, resolved
+//     to flat tree-node indices,
 //   - each pair's difference distance d and tree-path length s
 //     (Section III's two geometries, computed once instead of per query),
 //   - a parent-before-child edge schedule (the tree's DFS preorder)
@@ -31,9 +32,9 @@ type Kernel struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree
 
-	pairs        [][2]comm.CellID // shared with graph's memoized list
-	pairA, pairB []int32          // tree-node index of each pair's endpoints
-	d, s         []float64        // per-pair difference / tree-path distances
+	ix           *comm.PairIndex // the graph's index; pair i's cells are ix.Pair(i)
+	pairA, pairB []int32         // tree-node index of each pair's endpoints
+	d, s         []float64       // per-pair difference / tree-path distances
 	maxD, maxS   float64
 
 	// Edge schedule in DFS preorder (root excluded): node order[i] has
@@ -75,26 +76,28 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 	if !tree.Covers(g) {
 		return nil, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
 	}
-	// Size-check against the CSR pair index (~8 B/pair) before
-	// materializing the flat pair slice (16 B/pair plus a map-backed
-	// dedup transient): an oversize graph must be rejected — and handed
-	// to the streamed path — without ever paying the allocation the
-	// limit exists to prevent.
-	if err := checkKernelSize(g.Name, tree.Name, tree.NumNodes(), int(g.PairIndex().NumPairs()), lim); err != nil {
+	// Size-check against the pair index before allocating any per-pair
+	// array: an oversize graph must be rejected — and handed to the
+	// streamed path — without ever paying the allocation the limit
+	// exists to prevent.
+	ix := g.PairIndex()
+	if err := checkKernelSize(g.Name, tree.Name, tree.NumNodes(), int(ix.NumPairs()), lim); err != nil {
 		return nil, err
 	}
-	pairs := g.CommunicatingPairs()
+	pairs := ix.NumPairs()
 	k := &Kernel{
-		graph: g, tree: tree, pairs: pairs,
-		pairA: make([]int32, len(pairs)),
-		pairB: make([]int32, len(pairs)),
-		d:     make([]float64, len(pairs)),
-		s:     make([]float64, len(pairs)),
+		graph: g, tree: tree, ix: ix,
+		pairA: make([]int32, pairs),
+		pairB: make([]int32, pairs),
+		d:     make([]float64, pairs),
+		s:     make([]float64, pairs),
 		root:  int32(tree.Root()),
 	}
-	for i, p := range pairs {
-		na, _ := tree.CellNode(p[0])
-		nb, _ := tree.CellNode(p[1])
+	c := ix.Cursor(0)
+	for i := range k.pairA {
+		a, b, _ := c.Next() // the cursor yields exactly len(pairA) pairs
+		na, _ := tree.CellNode(a)
+		nb, _ := tree.CellNode(b)
 		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
 		k.d[i] = tree.DiffDist(na, nb)
 		k.s[i] = tree.PathLen(na, nb)
@@ -142,12 +145,12 @@ func (k *Kernel) Graph() *comm.Graph { return k.graph }
 func (k *Kernel) Tree() *clocktree.Tree { return k.tree }
 
 // Pairs returns the number of communicating pairs.
-func (k *Kernel) Pairs() int { return len(k.pairs) }
+func (k *Kernel) Pairs() int { return len(k.pairA) }
 
 // FootprintBytes returns the kernel's estimated resident size — the
 // KernelBytes estimate for its node and pair counts.
 func (k *Kernel) FootprintBytes() int64 {
-	return KernelBytes(k.tree.NumNodes(), len(k.pairs))
+	return KernelBytes(k.tree.NumNodes(), len(k.pairA))
 }
 
 // Analyze evaluates model over every communicating pair using the
@@ -155,14 +158,18 @@ func (k *Kernel) FootprintBytes() int64 {
 func (k *Kernel) Analyze(model Model) Analysis {
 	out := Analysis{
 		Model: model.Name(), Tree: k.tree.Name,
-		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairs),
+		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairA),
 	}
-	for i := range k.pairs {
-		d, s := k.d[i], k.s[i]
-		if sk := model.Bound(d, s); sk > out.MaxSkew {
+	worst := -1
+	for i := range k.d {
+		if sk := model.Bound(k.d[i], k.s[i]); sk > out.MaxSkew {
 			out.MaxSkew = sk
-			out.WorstPair = PairSkew{A: k.pairs[i][0], B: k.pairs[i][1], D: d, S: s, Skew: sk}
+			worst = i
 		}
+	}
+	if worst >= 0 {
+		a, b := k.ix.Pair(int64(worst))
+		out.WorstPair = PairSkew{A: a, B: b, D: k.d[worst], S: k.s[worst], Skew: out.MaxSkew}
 	}
 	return out
 }

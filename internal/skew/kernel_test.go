@@ -237,3 +237,42 @@ func TestKernelTrialSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state trial allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestNewKernelColdBuildAllocs gates the allocation count of a cold
+// kernel build — NewKernel on a graph whose pair index has never been
+// built, as on every cache-missing /v1/analyze. The build should cost a
+// fixed handful of flat arrays (pair index, per-pair and per-node
+// arrays, the preorder stack), independent of the pair count; a
+// per-pair map dedup or a per-pair slice growth would blow the bound.
+func TestNewKernelColdBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const runs = 3
+	// AllocsPerRun calls f once to warm up and then runs times; each
+	// call gets its own freshly built graph and tree.
+	type layout struct {
+		g  *comm.Graph
+		tr *clocktree.Tree
+	}
+	fresh := make([]layout, runs+1)
+	for i := range fresh {
+		g := meshArray(t, 64)
+		tr, err := clocktree.HTree(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = layout{g, tr}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		l := fresh[next]
+		next++
+		if _, err := NewKernel(l.g, l.tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("cold NewKernel on a 64x64 mesh allocates %.0f objects/op, want <= 32", allocs)
+	}
+}

@@ -22,8 +22,9 @@ import (
 // delay with a separate Uniform call.
 
 // referencePairs re-enumerates the communicating pairs of g from its raw
-// edge list, replicating comm.Graph.CommunicatingPairs before memoization:
-// canonical order, no duplicates, no self-pairs.
+// edge list with a map dedup and a sort, independently of the CSR
+// comm.PairIndex the kernels build from: canonical order (a-major,
+// b-ascending), no duplicates, no self-pairs.
 func referencePairs(g *comm.Graph) [][2]comm.CellID {
 	seen := make(map[[2]comm.CellID]bool)
 	for _, e := range g.Edges {

@@ -26,9 +26,9 @@ const DefaultMCSampleCap = 1 << 16
 
 // Streamer is the streamed counterpart of Kernel: a reusable context
 // over one (graph, tree) pair that never materializes per-pair arrays.
-// It holds the graph's CSR pair index (~8 B per pair), a flat
+// It holds the graph's CSR pair index (4 B per pair), a flat
 // cell→tree-node table, and a pool of per-worker shard arenas, so the
-// resident cost is O(cells), not O(pairs)·40 B like the kernel — this
+// resident cost is O(cells), not O(pairs)·24 B like the kernel — this
 // is the path that breaks the kernel byte ceiling. Safe for concurrent
 // use; the serving stack caches Streamers by recipe exactly as it
 // caches Kernels.

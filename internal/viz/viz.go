@@ -145,8 +145,9 @@ func (d *Drawing) HybridElements(g *comm.Graph, sys *hybrid.System) {
 	}
 	// Handshake links between adjacent elements (deduplicated pairs).
 	seen := map[[2]int]bool{}
-	for _, p := range g.CommunicatingPairs() {
-		a, b := sys.ElementOf(p[0]), sys.ElementOf(p[1])
+	c := g.PairIndex().Cursor(0)
+	for ca, cb, ok := c.Next(); ok; ca, cb, ok = c.Next() {
+		a, b := sys.ElementOf(ca), sys.ElementOf(cb)
 		if a == b {
 			continue
 		}
