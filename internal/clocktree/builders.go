@@ -156,11 +156,11 @@ func HTree(g *comm.Graph) (*Tree, error) {
 
 // HTreeCompact builds the same H-tree as HTree — same name, node IDs,
 // edge lengths, and bit-identical root distances — in compact mode: wire
-// routes, child lists, and O(1)-LCA tables are not retained, so the
-// result fits arrays far past what a full tree can hold. LCA queries
-// fall back to the O(depth) parent walk, which stays O(log n) on the
-// balanced trees this builder produces. Equalize works; Buffered does
-// not (it needs the wire geometry).
+// routes and child lists are not retained and no O(1)-LCA table is
+// built, so the result fits arrays far past what a full tree can hold.
+// LCA queries fall back to the O(depth) parent walk, which stays
+// O(log n) on the balanced trees this builder produces. Equalize works;
+// Buffered does not (it needs the wire geometry).
 func HTreeCompact(g *comm.Graph) (*Tree, error) {
 	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: HTreeCompact on empty graph")
@@ -169,70 +169,103 @@ func HTreeCompact(g *comm.Graph) (*Tree, error) {
 }
 
 func buildHTreeWith(g *comm.Graph, b *Builder) (*Tree, error) {
-	cells := append([]comm.Cell(nil), g.Cells...)
-	center := bboxCenter(cells)
-	if len(cells) == 1 {
-		b.Root(cells[0].Pos, cells[0].ID)
+	n := len(g.Cells)
+	b.reserve(2*n-1, n)
+	cells := flatCells(g.Cells)
+	if n == 1 {
+		b.Root(cells[0].pos(), cells[0].ID)
 		return b.Finalize()
 	}
-	root := b.Root(center, comm.Host)
-	buildHTree(b, root, cells)
+	box := bbox(cells)
+	root := b.Root(center(box), comm.Host)
+	buildHTree(b, root, cells, box)
 	return b.Finalize()
 }
 
-// buildHTree attaches the H-tree over cells below the given parent node.
-func buildHTree(b *Builder, parent NodeID, cells []comm.Cell) {
-	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID, nil)
-		return
-	}
-	lo, hi := splitCells(cells)
-	for _, half := range [][]comm.Cell{lo, hi} {
+// buildHTree attaches the H-tree over cells (at least two, with bounding
+// box box) below the given parent node.
+func buildHTree(b *Builder, parent NodeID, cells []hcell, box geom.Rect) {
+	lo, hi := splitCells(cells, box)
+	for _, half := range [2][]hcell{lo, hi} {
 		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID, nil)
+			b.Child(parent, half[0].pos(), half[0].ID, nil)
 			continue
 		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host, nil)
-		buildHTree(b, mid, half)
+		hbox := bbox(half)
+		mid := b.Child(parent, center(hbox), comm.Host, nil)
+		buildHTree(b, mid, half, hbox)
 	}
 }
 
-// splitCells halves the cell set at the median along the longer axis of
-// its bounding box, partitioning in place: on return, cells[:m] holds
-// the m = len/2 smallest cells under the axis order and cells[m:] the
-// rest. The halves are the same *sets* a full sort would produce (cell
-// positions are distinct, so the axis comparator is a total order and
-// the median cut is unique), but selection runs in O(n) expected time
-// instead of O(n log n) and allocates nothing — at 8192² the old
-// sort-per-recursion-level construction spent minutes and tens of
-// gigabytes of allocation churn here. Tree construction only consumes
-// the halves as sets (bounding-box centers and further splits), so the
-// built tree is identical node for node.
-func splitCells(cells []comm.Cell) (lo, hi []comm.Cell) {
+// hcell is the flat (position, ID) record the recursive builders
+// partition: 24 bytes against comm.Cell's 40, and nothing they do not
+// read.
+type hcell struct {
+	X, Y float64
+	ID   comm.CellID
+}
+
+func (c hcell) pos() geom.Point { return geom.Pt(c.X, c.Y) }
+
+// flatCells copies cells into a fresh hcell scratch.
+func flatCells(src []comm.Cell) []hcell {
+	cells := make([]hcell, len(src))
+	for i, c := range src {
+		cells[i] = hcell{X: c.Pos.X, Y: c.Pos.Y, ID: c.ID}
+	}
+	return cells
+}
+
+// bbox returns the bounding box of cells, equal bit for bit to folding
+// geom.Rect.Union over them: the builtin min and max keep math.Min and
+// math.Max semantics (−0 below +0, NaN absorbing), and from the empty
+// rectangle's infinite corners the first cell sets the box exactly as
+// Union's empty-operand case does.
+func bbox(cells []hcell) geom.Rect {
 	r := geom.EmptyRect()
 	for _, c := range cells {
-		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
+		r.Min.X, r.Max.X = min(r.Min.X, c.X), max(r.Max.X, c.X)
+		r.Min.Y, r.Max.Y = min(r.Min.Y, c.Y), max(r.Max.Y, c.Y)
 	}
-	byX := r.Width() >= r.Height()
+	return r
+}
+
+// center returns the midpoint of r, where the H-tree places a region's
+// branch node.
+func center(r geom.Rect) geom.Point {
+	return geom.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
+}
+
+// splitCells halves the cell set, whose bounding box is box, at the
+// median along the box's longer axis, partitioning in place: on return,
+// cells[:m] holds the m = len/2 smallest cells under the axis order and
+// cells[m:] the rest. The halves are the same *sets* a full sort would
+// produce (cell positions are distinct, so the axis comparator is a
+// total order and the median cut is unique), but selection runs in O(n)
+// expected time instead of O(n log n) and allocates nothing. Tree
+// construction only consumes the halves as sets (bounding-box centers
+// and further splits), so the built tree is identical node for node.
+func splitCells(cells []hcell, box geom.Rect) (lo, hi []hcell) {
+	byX := box.Width() >= box.Height()
 	m := len(cells) / 2
 	selectCells(cells, m, byX)
 	return cells[:m], cells[m:]
 }
 
-// cellLess is the axis total order splitCells cuts on: primary axis
-// coordinate, tie-broken by the other coordinate. With distinct cell
-// positions no two cells compare equal.
-func cellLess(a, b comm.Cell, byX bool) bool {
+// cellLess is the axis total order the recursive builders cut on:
+// primary axis coordinate, tie-broken by the other coordinate. With
+// distinct cell positions no two cells compare equal.
+func cellLess(a, b hcell, byX bool) bool {
 	if byX {
-		if a.Pos.X != b.Pos.X {
-			return a.Pos.X < b.Pos.X
+		if a.X != b.X {
+			return a.X < b.X
 		}
-		return a.Pos.Y < b.Pos.Y
+		return a.Y < b.Y
 	}
-	if a.Pos.Y != b.Pos.Y {
-		return a.Pos.Y < b.Pos.Y
+	if a.Y != b.Y {
+		return a.Y < b.Y
 	}
-	return a.Pos.X < b.Pos.X
+	return a.X < b.X
 }
 
 // selectCells partially orders cells in place so cells[:k] are the k
@@ -240,7 +273,7 @@ func cellLess(a, b comm.Cell, byX bool) bool {
 // pivots with a three-way (Dutch-flag) partition, falling back to a full
 // sort of the remaining range if the recursion budget is exhausted, so
 // the worst case stays O(n log n) without randomness.
-func selectCells(cells []comm.Cell, k int, byX bool) {
+func selectCells(cells []hcell, k int, byX bool) {
 	if k <= 0 || k >= len(cells) {
 		return
 	}
@@ -249,7 +282,7 @@ func selectCells(cells []comm.Cell, k int, byX bool) {
 	budget := 2 * bitsLen(len(cells))
 	for hi-lo > 16 {
 		if budget == 0 {
-			sort.Slice(cells[lo:hi], func(i, j int) bool { return less(lo+i, lo+j) })
+			sortCells(cells[lo:hi], byX)
 			return
 		}
 		budget--
@@ -288,8 +321,13 @@ func selectCells(cells []comm.Cell, k int, byX bool) {
 	}
 }
 
+// sortCells sorts cells under cellLess.
+func sortCells(cells []hcell, byX bool) {
+	sort.Slice(cells, func(i, j int) bool { return cellLess(cells[i], cells[j], byX) })
+}
+
 // medianOfThreeCells returns the median of a, b, c under cellLess.
-func medianOfThreeCells(a, b, c comm.Cell, byX bool) comm.Cell {
+func medianOfThreeCells(a, b, c hcell, byX bool) hcell {
 	if cellLess(b, a, byX) {
 		a, b = b, a
 	}
@@ -312,14 +350,6 @@ func bitsLen(n int) int {
 	return l
 }
 
-func bboxCenter(cells []comm.Cell) geom.Point {
-	r := geom.EmptyRect()
-	for _, c := range cells {
-		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
-	}
-	return geom.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
-}
-
 // RandomBinary builds a random recursive binary clock tree over the cells
 // of g: at each level the cell set is split at a random axis and a random
 // position near the median. The Section V-B experiments minimize measured
@@ -330,38 +360,26 @@ func RandomBinary(g *comm.Graph, rng *stats.RNG) (*Tree, error) {
 		return nil, fmt.Errorf("clocktree: RandomBinary on empty graph")
 	}
 	b := NewBuilder(fmt.Sprintf("random%d/%s", rng.Seed(), g.Name))
-	cells := append([]comm.Cell(nil), g.Cells...)
+	b.reserve(2*g.NumCells()-1, g.NumCells())
+	cells := flatCells(g.Cells)
 	if len(cells) == 1 {
-		b.Root(cells[0].Pos, cells[0].ID)
+		b.Root(cells[0].pos(), cells[0].ID)
 		return b.Finalize()
 	}
-	root := b.Root(bboxCenter(cells), comm.Host)
+	root := b.Root(center(bbox(cells)), comm.Host)
 	buildRandom(b, root, cells, rng)
 	return b.Finalize()
 }
 
-func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
-	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID, nil)
-		return
-	}
-	byX := rng.Bernoulli(0.5)
-	sorted := append([]comm.Cell(nil), cells...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if byX {
-			if sorted[i].Pos.X != sorted[j].Pos.X {
-				return sorted[i].Pos.X < sorted[j].Pos.X
-			}
-			return sorted[i].Pos.Y < sorted[j].Pos.Y
-		}
-		if sorted[i].Pos.Y != sorted[j].Pos.Y {
-			return sorted[i].Pos.Y < sorted[j].Pos.Y
-		}
-		return sorted[i].Pos.X < sorted[j].Pos.X
-	})
+// buildRandom attaches a random tree over cells (at least two) below
+// parent. It sorts cells in place: each call owns its region of the
+// scratch, and the sorted order under the total order cellLess is
+// unique, so the tree is the same as sorting a private copy.
+func buildRandom(b *Builder, parent NodeID, cells []hcell, rng *stats.RNG) {
+	sortCells(cells, rng.Bernoulli(0.5))
 	// Split somewhere in the middle half so both sides stay non-empty and
 	// the tree depth stays O(log n) with high probability.
-	n := len(sorted)
+	n := len(cells)
 	lo := n / 4
 	if lo < 1 {
 		lo = 1
@@ -371,12 +389,12 @@ func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
 		hi = lo + 1
 	}
 	m := lo + rng.Intn(hi-lo)
-	for _, half := range [][]comm.Cell{sorted[:m], sorted[m:]} {
+	for _, half := range [2][]hcell{cells[:m], cells[m:]} {
 		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID, nil)
+			b.Child(parent, half[0].pos(), half[0].ID, nil)
 			continue
 		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host, nil)
+		mid := b.Child(parent, center(bbox(half)), comm.Host, nil)
 		buildRandom(b, mid, half, rng)
 	}
 }
@@ -449,10 +467,7 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 				var piece geom.Path
 				piece, remaining = remaining.Split(segLen)
 				bufID := b.addNode(piece.End(), comm.Host, true)
-				b.t.parent[bufID] = parentNew
-				b.t.children[parentNew] = append(b.t.children[parentNew], bufID)
-				b.t.wire[bufID] = piece
-				b.t.edgeLen[bufID] = piece.Length()
+				b.link(parentNew, bufID, piece)
 				parentNew = bufID
 			}
 			childNode := t.Node(c)

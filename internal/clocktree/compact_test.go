@@ -183,21 +183,18 @@ func splitCellsRef(cells []comm.Cell) (lo, hi []comm.Cell) {
 	return sorted[:m], sorted[m:]
 }
 
-func cellSet(cells []comm.Cell) map[geom.Point]comm.CellID {
-	s := make(map[geom.Point]comm.CellID, len(cells))
-	for _, c := range cells {
-		s[c.Pos] = c.ID
-	}
-	return s
-}
-
-func sameCellSet(a, b []comm.Cell) bool {
-	if len(a) != len(b) {
+// sameCellSet reports whether got and want hold the same (position,
+// ID) cells.
+func sameCellSet(got []hcell, want []comm.Cell) bool {
+	if len(got) != len(want) {
 		return false
 	}
-	sa, sb := cellSet(a), cellSet(b)
-	for p, id := range sa {
-		if sb[p] != id {
+	ids := make(map[geom.Point]comm.CellID, len(want))
+	for _, c := range want {
+		ids[c.Pos] = c.ID
+	}
+	for _, c := range got {
+		if id, ok := ids[c.pos()]; !ok || id != c.ID {
 			return false
 		}
 	}
@@ -241,8 +238,8 @@ func TestSplitCellsMatchesSortReference(t *testing.T) {
 	}
 	for i, cells := range inputs {
 		wantLo, wantHi := splitCellsRef(cells)
-		work := append([]comm.Cell(nil), cells...)
-		gotLo, gotHi := splitCells(work)
+		work := flatCells(cells)
+		gotLo, gotHi := splitCells(work, bbox(work))
 		if !sameCellSet(gotLo, wantLo) || !sameCellSet(gotHi, wantHi) {
 			t.Fatalf("input %d (n=%d): quickselect halves differ from sort reference", i, len(cells))
 		}
@@ -260,7 +257,8 @@ func TestSelectCellsBudgetFallback(t *testing.T) {
 		cells = append(cells, comm.Cell{ID: comm.CellID(i), Pos: geom.Pt(float64(i%3), float64(i))})
 	}
 	want, _ := splitCellsRef(cells)
-	got, _ := splitCells(cells)
+	work := flatCells(cells)
+	got, _ := splitCells(work, bbox(work))
 	if !sameCellSet(got, want) {
 		t.Fatal("fallback path produced wrong halves")
 	}

@@ -117,10 +117,11 @@ func FuzzSpine(f *testing.F) {
 	})
 }
 
-// FuzzHTree checks the recursive builder on arbitrary layouts and then
-// the Theorem 2 mechanism on each: every cell node of an H-tree is a
-// leaf, so Equalize must drive every cell's root distance to the common
-// maximum, leaving a tree with zero difference skew.
+// FuzzHTree checks the recursive builder on arbitrary layouts — node for
+// node against the pre-flat reference construction, at tolerance 0 —
+// and then the Theorem 2 mechanism on each: every cell node of an H-tree
+// is a leaf, so Equalize must drive every cell's root distance to the
+// common maximum, leaving a tree with zero difference skew.
 func FuzzHTree(f *testing.F) {
 	addLayoutSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -132,6 +133,7 @@ func FuzzHTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("HTree rejected a valid layout: %v", err)
 		}
+		diffReference(t, tree, referenceHTree(g))
 		checkTreeMetrics(t, g, tree)
 		added := tree.Equalize()
 		if added < 0 || math.IsNaN(added) {

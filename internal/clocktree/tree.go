@@ -11,6 +11,7 @@ package clocktree
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/geom"
@@ -43,31 +44,41 @@ type Tree struct {
 	edgeLen  []float64   // edgeLen[v] = wire[v].Length(), 0 at the root
 	extra    []float64   // tuned slack added to edge v by Equalize
 
-	// compact marks trees built by NewCompactBuilder: wire routes,
-	// child lists, and the O(n log n) LCA tables are not retained, only
+	// compact marks trees built by NewCompactBuilder: wire routes and
+	// child lists are not retained, and no LCA table is ever built — only
 	// the parent/edgeLen/rootDist/depth arrays. Distance queries stay
 	// bit-identical (same arithmetic on the same operands); LCA degrades
 	// to a lockstep parent walk — O(depth), which is O(log n) for the
 	// balanced trees compact mode exists for. Buffered and wire-geometry
 	// queries are unavailable. This is what lets 8192²-cell arrays fit
-	// in memory: the retained state is ~56 bytes/node instead of the
-	// several hundred a full tree carries.
+	// in memory: a compact H-tree retains ~84 bytes/node against ~188
+	// for a full one (measured at 128², go1.24), whose LCA tables add
+	// ~160 more once a single-pair query builds them.
 	compact bool
 
 	rootDist []float64
 	depth    []int
-	up       [][]int32 // binary-lifting ancestor table; nil for compact trees
+
+	// LCA tables. Neither is built at Finalize: each is built on first
+	// use behind its sync.Once, so a Tree stays safe for concurrent reads
+	// and trees that never answer a single-pair LCA query (a skew kernel
+	// resolves all its pairs with PathLens) never pay for them.
+	liftOnce sync.Once
+	up       [][]int32 // binary-lifting ancestor table
 
 	// Euler-tour RMQ structures for O(1) LCA: euler is the tour's node
-	// sequence (length 2n−1), firstVisit[v] the index of v's first tour
-	// occurrence, and sparse[k][i] the index of the minimum-depth node in
-	// the tour window [i, i+2^k).
+	// sequence (length 2n−1), tourDepth[i] = depth[euler[i]] laid out
+	// contiguously for the RMQ scans, firstVisit[v] the index of v's
+	// first tour occurrence, and sparse[k][i] the index of the
+	// minimum-depth node in the tour window [i, i+2^k).
+	eulerOnce  sync.Once
 	euler      []int32
+	tourDepth  []int32
 	firstVisit []int32
 	sparse     [][]int32
 	log2       []uint8 // log2[w] = floor(log₂ w) for window sizes up to len(euler)
 
-	cellNode map[comm.CellID]NodeID
+	cellNode []NodeID // cellNode[c]: the node clocking cell c, or -1 if none
 }
 
 // NumNodes returns the number of tree nodes.
@@ -83,7 +94,7 @@ func (t *Tree) Node(id NodeID) Node { return t.nodes[id] }
 func (t *Tree) Parent(v NodeID) NodeID { return t.parent[v] }
 
 // Compact reports whether the tree was built in compact mode (no wire
-// routes, child lists, or O(1)-LCA tables retained).
+// routes or child lists retained, no O(1)-LCA table ever built).
 func (t *Tree) Compact() bool { return t.compact }
 
 // Children returns v's children; the slice must not be modified. Compact
@@ -110,8 +121,10 @@ func (t *Tree) EdgeLen(v NodeID) float64 { return t.edgeLen[v] + t.extra[v] }
 
 // CellNode returns the tree node that clocks the given cell.
 func (t *Tree) CellNode(c comm.CellID) (NodeID, bool) {
-	id, ok := t.cellNode[c]
-	return id, ok
+	if c < 0 || int(c) >= len(t.cellNode) || t.cellNode[c] < 0 {
+		return 0, false
+	}
+	return t.cellNode[c], true
 }
 
 // RootDist returns the electrical length of the path from the root to v —
@@ -120,11 +133,7 @@ func (t *Tree) RootDist(v NodeID) float64 { return t.rootDist[v] }
 
 // CellRootDist returns the root distance of the node clocking cell c.
 func (t *Tree) CellRootDist(c comm.CellID) float64 {
-	id, ok := t.cellNode[c]
-	if !ok {
-		panic(fmt.Sprintf("clocktree: cell %d is not clocked by tree %q", c, t.Name))
-	}
-	return t.rootDist[id]
+	return t.rootDist[t.mustCellNode(c)]
 }
 
 // MaxRootDist returns the longest root-to-node electrical length P; per
@@ -140,19 +149,21 @@ func (t *Tree) MaxRootDist() float64 {
 }
 
 // LCA returns the lowest common ancestor of a and b in O(1), answered
-// from the Euler-tour sparse table built at Finalize: the LCA is the
-// minimum-depth node in the tour between the two nodes' first visits.
+// from the Euler-tour sparse table (built on the first call): the LCA is
+// the minimum-depth node in the tour between the two nodes' first
+// visits. Compact trees answer with the parent walk instead.
 func (t *Tree) LCA(a, b NodeID) NodeID {
-	if t.sparse == nil {
+	if t.compact {
 		return t.lcaWalk(a, b)
 	}
+	t.eulerOnce.Do(t.buildEulerRMQ)
 	l, r := t.firstVisit[a], t.firstVisit[b]
 	if l > r {
 		l, r = r, l
 	}
 	k := t.log2[r-l+1]
 	i, j := t.sparse[k][l], t.sparse[k][r-(1<<k)+1]
-	if t.depth[t.euler[j]] < t.depth[t.euler[i]] {
+	if t.tourDepth[j] < t.tourDepth[i] {
 		i = j
 	}
 	return NodeID(t.euler[i])
@@ -177,12 +188,13 @@ func (t *Tree) lcaWalk(a, b NodeID) NodeID {
 
 // LCABinaryLifting is the O(log n) binary-lifting LCA retained alongside
 // the Euler-tour implementation as an independent oracle: differential
-// tests cross-check the two on every tree shape. Compact trees have no
-// lifting table and answer with the parent walk.
+// tests cross-check the two on every tree shape. The lifting table is
+// built on the first call; compact trees answer with the parent walk.
 func (t *Tree) LCABinaryLifting(a, b NodeID) NodeID {
-	if t.up == nil {
+	if t.compact {
 		return t.lcaWalk(a, b)
 	}
+	t.liftOnce.Do(t.buildLifting)
 	u, v := int32(a), int32(b)
 	if t.depth[u] < t.depth[v] {
 		u, v = v, u
@@ -214,6 +226,111 @@ func (t *Tree) PathLen(a, b NodeID) float64 {
 	return t.rootDist[a] + t.rootDist[b] - 2*t.rootDist[l]
 }
 
+// PathLens writes s[i] = PathLen(a[i], b[i]) for every query pair, bit
+// for bit (same arithmetic on the same operands), answering them all in
+// one offline pass instead of one LCA query each: Tarjan's offline LCA,
+// a union-find over an iterative DFS. A pair is resolved when the DFS
+// enters its later-visited endpoint; the set representative of the
+// other endpoint is then the deepest node on the current DFS path above
+// it, which is the LCA. It runs in O(nodes + pairs) time up to the
+// union-find's near-constant amortized factor and keeps nothing: no LCA
+// table is built. It reads only the parent array, so compact trees take
+// the same path, and chain-shaped trees (spines, serpentines) stay
+// linear where a parent walk would be quadratic.
+func (t *Tree) PathLens(a, b []int32, s []float64) {
+	if len(b) != len(a) || len(s) != len(a) {
+		panic(fmt.Sprintf("clocktree: PathLens lengths differ: %d, %d, %d", len(a), len(b), len(s)))
+	}
+	n := len(t.parent)
+	kidOff, kids := groupBy(n, t.parent)
+	// Query entry i < len(a) is pair i filed under a[i]; entry
+	// len(a)+i is pair i filed under b[i].
+	qOff, qs := groupBy(n, a, b)
+	// uf[v] is −1 until the DFS enters v, v itself while v is on the DFS
+	// path, and afterwards a link toward v's parent: find(v) is then the
+	// deepest ancestor of v still on the path.
+	uf := make([]int32, n)
+	for v := range uf {
+		uf[v] = -1
+	}
+	find := func(x int32) int32 {
+		for uf[x] != x {
+			uf[x] = uf[uf[x]] // path halving
+			x = uf[x]
+		}
+		return x
+	}
+	enter := func(v int32) {
+		uf[v] = v
+		for _, e := range qs[qOff[v]:qOff[v+1]] {
+			i := int(e)
+			var other int32
+			if i < len(a) {
+				other = b[i]
+			} else {
+				i -= len(a)
+				other = a[i]
+			}
+			if uf[other] >= 0 {
+				l := find(other)
+				s[i] = t.rootDist[a[i]] + t.rootDist[b[i]] - 2*t.rootDist[l]
+			}
+		}
+	}
+	type frame struct{ v, next int32 }
+	root := int32(t.root)
+	stack := append(make([]frame, 0, 64), frame{root, kidOff[root]})
+	enter(root)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == kidOff[top.v+1] {
+			v := top.v
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				uf[v] = stack[len(stack)-1].v
+			}
+			continue
+		}
+		c := kids[top.next]
+		top.next++
+		enter(c)
+		stack = append(stack, frame{c, kidOff[c]})
+	}
+}
+
+// groupBy files entries under keys in [0, keys), dropping entries keyed
+// negative, and returns them in CSR form: the entries filed under k are
+// list[off[k]:off[k+1]], in ascending order. Entries are numbered
+// across the key lists in turn: entry j of lists[1] is len(lists[0])+j.
+func groupBy[K NodeID | int32](keys int, lists ...[]K) (off, list []int32) {
+	off = make([]int32, keys+1)
+	for _, l := range lists {
+		for _, k := range l {
+			if k >= 0 {
+				off[k+1]++
+			}
+		}
+	}
+	for k := 1; k <= keys; k++ {
+		off[k] += off[k-1]
+	}
+	list = make([]int32, off[keys])
+	j := int32(0)
+	for _, l := range lists {
+		for _, k := range l {
+			if k >= 0 {
+				list[off[k]] = j
+				off[k]++
+			}
+			j++
+		}
+	}
+	// The fill advanced each off[k] to the start of bucket k+1.
+	copy(off[1:], off[:keys])
+	off[0] = 0
+	return off, list
+}
+
 // DiffDist returns the positive difference d between the root distances of
 // a and b — the distance the difference model (A9) is defined on.
 func (t *Tree) DiffDist(a, b NodeID) float64 {
@@ -231,7 +348,7 @@ func (t *Tree) CellDiffDist(a, b comm.CellID) float64 {
 }
 
 func (t *Tree) mustCellNode(c comm.CellID) NodeID {
-	id, ok := t.cellNode[c]
+	id, ok := t.CellNode(c)
 	if !ok {
 		panic(fmt.Sprintf("clocktree: cell %d is not clocked by tree %q", c, t.Name))
 	}
@@ -274,7 +391,9 @@ func (t *Tree) ParentArray() []int {
 func (t *Tree) CellMask() []bool {
 	mask := make([]bool, len(t.nodes))
 	for _, id := range t.cellNode {
-		mask[id] = true
+		if id >= 0 {
+			mask[id] = true
+		}
 	}
 	return mask
 }
@@ -283,7 +402,7 @@ func (t *Tree) CellMask() []bool {
 // (A4: a cell can be clocked only if it is also a node of CLK).
 func (t *Tree) Covers(g *comm.Graph) bool {
 	for _, c := range g.Cells {
-		if _, ok := t.cellNode[c.ID]; !ok {
+		if _, ok := t.CellNode(c.ID); !ok {
 			return false
 		}
 	}
@@ -298,12 +417,15 @@ func (t *Tree) Covers(g *comm.Graph) bool {
 func (t *Tree) Equalize() float64 {
 	target := 0.0
 	for _, id := range t.cellNode {
-		if d := t.rootDist[id]; d > target {
-			target = d
+		if id >= 0 && t.rootDist[id] > target {
+			target = t.rootDist[id]
 		}
 	}
 	var added float64
 	for _, id := range t.cellNode {
+		if id < 0 {
+			continue
+		}
 		slack := target - t.rootDist[id]
 		if slack > 0 {
 			t.extra[id] += slack
@@ -314,97 +436,29 @@ func (t *Tree) Equalize() float64 {
 	return added
 }
 
-// recomputeDistances refreshes rootDist after edge-length changes.
+// recomputeDistances refreshes rootDist and depth after edge-length
+// changes. The Builder creates every parent before its children, so
+// ascending node order is topological and one forward pass suffices.
 func (t *Tree) recomputeDistances() {
-	if t.compact {
-		// The Builder creates every parent before its children, so
-		// ascending node order is topological; the per-node arithmetic is
-		// identical to the stack walk below, so rootDist values are
-		// bit-identical between the two modes.
-		for v := range t.parent {
-			if p := t.parent[v]; p >= 0 {
-				t.rootDist[v] = t.rootDist[p] + t.EdgeLen(NodeID(v))
-			} else {
-				t.rootDist[v] = 0
-			}
-		}
-		return
-	}
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if p := t.parent[v]; p >= 0 {
-			t.rootDist[v] = t.rootDist[p] + t.EdgeLen(v)
+	for v, p := range t.parent {
+		if p >= 0 {
+			t.rootDist[v] = t.rootDist[p] + t.EdgeLen(NodeID(v))
+			t.depth[v] = t.depth[p] + 1
 		} else {
-			t.rootDist[v] = 0
+			t.rootDist[v], t.depth[v] = 0, 0
 		}
-		stack = append(stack, t.children[v]...)
 	}
 }
 
 // Validate checks the structural invariants required by A4 and the layout
 // conventions: a single root, binary branching, wires connecting parent to
 // child positions, and acyclicity (every node reachable from the root
-// exactly once).
+// exactly once). The Builder creates every parent before its children,
+// so checking that each non-root node's parent precedes it establishes
+// the single root, acyclicity and reachability at once: every node
+// chains down to the root through strictly smaller indices. Compact
+// trees check everything but the child lists and wires they drop.
 func (t *Tree) Validate() error {
-	if t.compact {
-		return t.validateCompact()
-	}
-	n := len(t.nodes)
-	if n == 0 {
-		return fmt.Errorf("clocktree %q: empty tree", t.Name)
-	}
-	if t.parent[t.root] != -1 {
-		return fmt.Errorf("clocktree %q: root %d has a parent", t.Name, t.root)
-	}
-	seen := make([]bool, n)
-	count := 0
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			return fmt.Errorf("clocktree %q: node %d reached twice", t.Name, v)
-		}
-		seen[v] = true
-		count++
-		if len(t.children[v]) > 2 {
-			return fmt.Errorf("clocktree %q: node %d has %d children (A4 requires binary)",
-				t.Name, v, len(t.children[v]))
-		}
-		for _, c := range t.children[v] {
-			if t.parent[c] != v {
-				return fmt.Errorf("clocktree %q: parent/child mismatch at %d→%d", t.Name, v, c)
-			}
-			w := t.wire[c]
-			if len(w) < 1 {
-				return fmt.Errorf("clocktree %q: edge %d→%d has no wire", t.Name, v, c)
-			}
-			if !w.Start().Eq(t.nodes[v].Pos, 1e-6) || !w.End().Eq(t.nodes[c].Pos, 1e-6) {
-				return fmt.Errorf("clocktree %q: wire of edge %d→%d does not connect node positions",
-					t.Name, v, c)
-			}
-			stack = append(stack, c)
-		}
-	}
-	if count != n {
-		return fmt.Errorf("clocktree %q: %d of %d nodes unreachable from root", t.Name, n-count, n)
-	}
-	for c, id := range t.cellNode {
-		if t.nodes[id].Cell != c {
-			return fmt.Errorf("clocktree %q: cell index broken for cell %d", t.Name, c)
-		}
-	}
-	return nil
-}
-
-// validateCompact checks the invariants a compact tree can check without
-// child lists or wires: parent-before-child ordering (which implies a
-// single root, acyclicity, and full reachability — every non-root chains
-// down to the root through strictly smaller indices), binary branching,
-// and a consistent cell index.
-func (t *Tree) validateCompact() error {
 	n := len(t.nodes)
 	if n == 0 {
 		return fmt.Errorf("clocktree %q: empty tree", t.Name)
@@ -419,16 +473,39 @@ func (t *Tree) validateCompact() error {
 		}
 		p := t.parent[v]
 		if p < 0 || int(p) >= v {
-			return fmt.Errorf("clocktree %q: compact node %d has parent %d; parents must precede children",
+			return fmt.Errorf("clocktree %q: node %d has parent %d; parents must precede children",
 				t.Name, v, p)
 		}
 		if counts[p] == 2 {
 			return fmt.Errorf("clocktree %q: node %d has more than 2 children (A4 requires binary)", t.Name, p)
 		}
 		counts[p]++
+		if t.compact {
+			continue
+		}
+		w := t.wire[v]
+		if len(w) < 1 {
+			return fmt.Errorf("clocktree %q: edge %d→%d has no wire", t.Name, p, v)
+		}
+		if !w.Start().Eq(t.nodes[p].Pos, 1e-6) || !w.End().Eq(t.nodes[v].Pos, 1e-6) {
+			return fmt.Errorf("clocktree %q: wire of edge %d→%d does not connect node positions",
+				t.Name, p, v)
+		}
+	}
+	if !t.compact {
+		for v, kids := range t.children {
+			if len(kids) != int(counts[v]) {
+				return fmt.Errorf("clocktree %q: child list of %d does not match the parent array", t.Name, v)
+			}
+			for _, c := range kids {
+				if t.parent[c] != NodeID(v) {
+					return fmt.Errorf("clocktree %q: parent/child mismatch at %d→%d", t.Name, v, c)
+				}
+			}
+		}
 	}
 	for c, id := range t.cellNode {
-		if t.nodes[id].Cell != c {
+		if id >= 0 && t.nodes[id].Cell != comm.CellID(c) {
 			return fmt.Errorf("clocktree %q: cell index broken for cell %d", t.Name, c)
 		}
 	}
@@ -437,24 +514,54 @@ func (t *Tree) validateCompact() error {
 
 // Builder assembles a Tree incrementally. Create with NewBuilder, add the
 // root with Root, attach nodes with Child, then call Finalize.
+//
+// A full-mode Builder lays its per-node storage out flat so a tree costs
+// O(1) heap objects, not several per node: child lists are carved two
+// slots at a time from one []NodeID, and default rectilinear wires are
+// written into one shared []geom.Point. Both hand out cap-limited
+// subslices, so an append to one node's list or wire reallocates rather
+// than writing into a neighbour's.
 type Builder struct {
 	t       *Tree
 	rootSet bool
+	kids    []NodeID     // unused child-list slots
+	pts     []geom.Point // default-wire arena (compact mode: route scratch)
 }
 
 // NewBuilder returns a Builder for a tree with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{t: &Tree{Name: name, cellNode: make(map[comm.CellID]NodeID)}}
+	return &Builder{t: &Tree{Name: name}}
 }
 
 // NewCompactBuilder returns a Builder whose tree is built in compact
 // mode: wire routes and child lists are dropped as nodes are added, and
-// Finalize skips the O(n log n) LCA tables in favor of the parent-walk
-// LCA. The tree keeps the same name, node IDs, edge lengths, and root
-// distances (bit-identical) as the full tree the same Builder calls
-// would produce — only geometry retention and query complexity differ.
+// LCA queries use the parent walk rather than a table. The tree keeps
+// the same name, node IDs, edge lengths, and root distances
+// (bit-identical) as the full tree the same Builder calls would produce
+// — only geometry retention and query complexity differ.
 func NewCompactBuilder(name string) *Builder {
-	return &Builder{t: &Tree{Name: name, compact: true, cellNode: make(map[comm.CellID]NodeID)}}
+	return &Builder{t: &Tree{Name: name, compact: true}}
+}
+
+// reserve presizes the builder for a tree of the given node count
+// clocking cells [0, cells), so a builder that knows its size upfront
+// (HTree needs exactly 2n−1 nodes) allocates each array once.
+func (b *Builder) reserve(nodes, cells int) {
+	t := b.t
+	t.nodes = make([]Node, 0, nodes)
+	t.parent = make([]NodeID, 0, nodes)
+	t.edgeLen = make([]float64, 0, nodes)
+	t.extra = make([]float64, 0, nodes)
+	t.cellNode = make([]NodeID, cells)
+	for c := range t.cellNode {
+		t.cellNode[c] = -1
+	}
+	if !t.compact {
+		t.children = make([][]NodeID, 0, nodes)
+		t.wire = make([]geom.Path, 0, nodes)
+		b.kids = make([]NodeID, nodes) // a binary tree of n nodes fills at most n−1 slots
+		b.pts = make([]geom.Point, 0, 3*nodes)
+	}
 }
 
 // Root creates the root node. It may be called only once.
@@ -465,7 +572,6 @@ func (b *Builder) Root(pos geom.Point, cell comm.CellID) NodeID {
 	b.rootSet = true
 	id := b.addNode(pos, cell, false)
 	b.t.root = id
-	b.t.parent[id] = -1
 	return id
 }
 
@@ -477,74 +583,98 @@ func (b *Builder) Child(parent NodeID, pos geom.Point, cell comm.CellID, wire ge
 		panic("clocktree: Child before Root")
 	}
 	if wire == nil {
-		wire = geom.Rectilinear(b.t.nodes[parent].Pos, pos)
+		wire = b.route(b.t.nodes[parent].Pos, pos)
 	}
 	id := b.addNode(pos, cell, false)
-	b.t.parent[id] = parent
-	b.t.edgeLen[id] = wire.Length()
-	if !b.t.compact {
-		b.t.children[parent] = append(b.t.children[parent], id)
-		b.t.wire[id] = wire
-	}
+	b.link(parent, id, wire)
 	return id
+}
+
+// route returns geom.Rectilinear(from, to) laid into the wire arena. A
+// compact builder keeps only the route's length, so it reuses one
+// scratch buffer instead.
+func (b *Builder) route(from, to geom.Point) geom.Path {
+	if b.t.compact {
+		b.pts = geom.AppendRectilinear(b.pts[:0], from, to)
+		return b.pts
+	}
+	if cap(b.pts)-len(b.pts) < 3 {
+		// A fresh chunk sized to the tree so far: chunks grow
+		// geometrically, and the wires already handed out keep theirs.
+		b.pts = make([]geom.Point, 0, max(3*len(b.t.nodes), 96))
+	}
+	start := len(b.pts)
+	b.pts = geom.AppendRectilinear(b.pts, from, to)
+	return b.pts[start:len(b.pts):len(b.pts)]
+}
+
+// link attaches node id below parent through wire.
+func (b *Builder) link(parent, id NodeID, wire geom.Path) {
+	t := b.t
+	t.parent[id] = parent
+	t.edgeLen[id] = wire.Length()
+	if t.compact {
+		return
+	}
+	kids := t.children[parent]
+	if kids == nil {
+		if len(b.kids) < 2 {
+			b.kids = make([]NodeID, max(2*len(t.nodes), 64))
+		}
+		kids, b.kids = b.kids[:0:2], b.kids[2:]
+	}
+	t.children[parent] = append(kids, id)
+	t.wire[id] = wire
 }
 
 func (b *Builder) addNode(pos geom.Point, cell comm.CellID, buffer bool) NodeID {
-	id := NodeID(len(b.t.nodes))
-	b.t.nodes = append(b.t.nodes, Node{ID: id, Pos: pos, Cell: cell, Buffer: buffer})
-	b.t.parent = append(b.t.parent, -1)
-	if !b.t.compact {
-		b.t.children = append(b.t.children, nil)
-		b.t.wire = append(b.t.wire, nil)
+	t := b.t
+	id := NodeID(len(t.nodes))
+	t.nodes = append(t.nodes, Node{ID: id, Pos: pos, Cell: cell, Buffer: buffer})
+	t.parent = append(t.parent, -1)
+	if !t.compact {
+		t.children = append(t.children, nil)
+		t.wire = append(t.wire, nil)
 	}
-	b.t.edgeLen = append(b.t.edgeLen, 0)
-	b.t.extra = append(b.t.extra, 0)
+	t.edgeLen = append(t.edgeLen, 0)
+	t.extra = append(t.extra, 0)
 	if cell != comm.Host {
-		if _, dup := b.t.cellNode[cell]; dup {
+		if cell < 0 {
+			panic(fmt.Sprintf("clocktree: invalid cell %d", cell))
+		}
+		for int(cell) >= len(t.cellNode) {
+			t.cellNode = append(t.cellNode, -1)
+		}
+		if t.cellNode[cell] >= 0 {
 			panic(fmt.Sprintf("clocktree: cell %d clocked twice", cell))
 		}
-		b.t.cellNode[cell] = id
+		t.cellNode[cell] = id
 	}
 	return id
 }
 
-// Finalize computes distances and ancestor tables and returns the
-// completed tree. The Builder must not be used afterwards.
+// Finalize validates the tree, computes root distances and depths, and
+// returns the completed tree. It builds no LCA table; see LCA and
+// PathLens. The Builder must not be used afterwards.
 func (b *Builder) Finalize() (*Tree, error) {
 	t := b.t
 	b.t = nil
 	if t == nil || len(t.nodes) == 0 {
 		return nil, fmt.Errorf("clocktree: Finalize on empty builder")
 	}
-	n := len(t.nodes)
-	t.rootDist = make([]float64, n)
-	t.depth = make([]int, n)
-	if t.compact {
-		// One forward pass computes both distances and depths (parents
-		// precede children), and no ancestor tables are built.
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			if p := t.parent[v]; p >= 0 {
-				t.rootDist[v] = t.rootDist[p] + t.EdgeLen(NodeID(v))
-				t.depth[v] = t.depth[p] + 1
-			}
-		}
-		return t, nil
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
+	t.rootDist = make([]float64, len(t.nodes))
+	t.depth = make([]int, len(t.nodes))
 	t.recomputeDistances()
-	// Depths via BFS from root.
-	queue := []NodeID{t.root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range t.children[v] {
-			t.depth[c] = t.depth[v] + 1
-			queue = append(queue, c)
-		}
-	}
-	// Binary-lifting table.
+	return t, nil
+}
+
+// buildLifting builds the binary-lifting ancestor table behind
+// LCABinaryLifting.
+func (t *Tree) buildLifting() {
+	n := len(t.nodes)
 	levels := 1
 	maxDepth := 0
 	for _, d := range t.depth {
@@ -570,11 +700,6 @@ func (b *Builder) Finalize() (*Tree, error) {
 			t.up[k][v] = t.up[k-1][t.up[k-1][v]]
 		}
 	}
-	t.buildEulerRMQ()
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // buildEulerRMQ records the Euler tour of the tree and a sparse table of
@@ -583,7 +708,12 @@ func (b *Builder) Finalize() (*Tree, error) {
 func (t *Tree) buildEulerRMQ() {
 	n := len(t.nodes)
 	t.euler = make([]int32, 0, 2*n-1)
+	t.tourDepth = make([]int32, 0, 2*n-1)
 	t.firstVisit = make([]int32, n)
+	visit := func(v NodeID) {
+		t.euler = append(t.euler, int32(v))
+		t.tourDepth = append(t.tourDepth, int32(t.depth[v]))
+	}
 	// Iterative Euler tour: each stack frame is a node plus the index of
 	// the next child to descend into; the node is appended on entry and
 	// again after each child's subtree.
@@ -593,21 +723,21 @@ func (t *Tree) buildEulerRMQ() {
 	}
 	stack := []frame{{v: t.root}}
 	t.firstVisit[t.root] = 0
-	t.euler = append(t.euler, int32(t.root))
+	visit(t.root)
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		kids := t.children[f.v]
 		if f.next >= len(kids) {
 			stack = stack[:len(stack)-1]
 			if len(stack) > 0 {
-				t.euler = append(t.euler, int32(stack[len(stack)-1].v))
+				visit(stack[len(stack)-1].v)
 			}
 			continue
 		}
 		c := kids[f.next]
 		f.next++
 		t.firstVisit[c] = int32(len(t.euler))
-		t.euler = append(t.euler, int32(c))
+		visit(c)
 		stack = append(stack, frame{v: c})
 	}
 	m := len(t.euler)
@@ -628,7 +758,7 @@ func (t *Tree) buildEulerRMQ() {
 		prev := t.sparse[k-1]
 		for i := range row {
 			a, b := prev[i], prev[i+width/2]
-			if t.depth[t.euler[b]] < t.depth[t.euler[a]] {
+			if t.tourDepth[b] < t.tourDepth[a] {
 				a = b
 			}
 			row[i] = a

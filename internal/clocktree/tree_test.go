@@ -612,6 +612,7 @@ func benchHTree(b *testing.B, n int) *Tree {
 func BenchmarkLCAEuler32(b *testing.B) {
 	tr := benchHTree(b, 32)
 	n := NodeID(tr.NumNodes())
+	tr.LCA(0, 1) // build the table outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -622,9 +623,39 @@ func BenchmarkLCAEuler32(b *testing.B) {
 func BenchmarkLCABinaryLifting32(b *testing.B) {
 	tr := benchHTree(b, 32)
 	n := NodeID(tr.NumNodes())
+	tr.LCABinaryLifting(0, 1) // build the table outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.LCABinaryLifting(NodeID(i)%n, NodeID(i*7+3)%n)
+	}
+}
+
+// TestHTreeBuildAllocs pins the flat builder: an H-tree costs O(1) heap
+// objects, not several per node (the per-node wire, child-slice and map
+// growth build made ~16.6K allocations at 64²).
+func TestHTreeBuildAllocs(t *testing.T) {
+	g := mustMesh(t, 64, 64)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := HTree(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("HTree at 64² made %v allocations, want ≤ 64", allocs)
+	}
+}
+
+func BenchmarkHTreeBuild64(b *testing.B) {
+	g, err := comm.Mesh(64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := HTree(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -250,13 +250,18 @@ func BoundingRectOfPaths(paths []Path) Rect {
 
 // Rectilinear returns an L-shaped Manhattan route from a to b, turning at
 // the corner (b.X, a.Y). For a == b it returns the single point.
-func Rectilinear(a, b Point) Path {
+func Rectilinear(a, b Point) Path { return AppendRectilinear(nil, a, b) }
+
+// AppendRectilinear appends the points of Rectilinear(a, b) — one, two
+// or three of them — to dst and returns the extended path, so builders
+// can lay many routes into one shared buffer.
+func AppendRectilinear(dst Path, a, b Point) Path {
 	if a.Eq(b, 0) {
-		return Path{a}
+		return append(dst, a)
 	}
 	corner := Point{b.X, a.Y}
 	if corner.Eq(a, 0) || corner.Eq(b, 0) {
-		return Path{a, b}
+		return append(dst, a, b)
 	}
-	return Path{a, corner, b}
+	return append(dst, a, corner, b)
 }

@@ -170,9 +170,9 @@ func checkAnalysisBoundsMonteCarlo(rng *stats.RNG) error {
 // checkKernelMatchesReference pins the kernel fast paths to the retained
 // pre-kernel implementations with zero tolerance: same Analysis field
 // for field (the reference recomputes every distance through the
-// binary-lifting LCA, so this also cross-checks the Euler-tour table),
-// same guaranteed minimum, and bit-identical Monte-Carlo results for a
-// shared seed.
+// binary-lifting LCA, so this also cross-checks the kernel's offline-LCA
+// PathLens pass), same guaranteed minimum, and bit-identical
+// Monte-Carlo results for a shared seed.
 func checkKernelMatchesReference(rng *stats.RNG) error {
 	g, err := AnyGraph(rng)
 	if err != nil {

@@ -218,8 +218,11 @@ func (s *Server) peerShardFn(r recipe, req *AnalyzeRequest) func(ctx context.Con
 		if owner == s.cluster.self || !s.cluster.health.Alive(owner) {
 			return skew.ShardStats{}, false
 		}
-		body.Lo, body.Hi = lo, hi
-		raw, err := json.Marshal(body)
+		// The streamer calls this from several workers at once: each
+		// call fills its own copy of the request.
+		shard := body
+		shard.Lo, shard.Hi = lo, hi
+		raw, err := json.Marshal(shard)
 		if err != nil {
 			return skew.ShardStats{}, false
 		}

@@ -11,8 +11,9 @@ import (
 )
 
 // Kernel is an immutable precomputation over one (graph, tree) pair that
-// makes every skew query array indexing. Built once — O(pairs) LCA
-// queries, each O(1) via the tree's Euler-tour table — it caches:
+// makes every skew query array indexing. Built once — every pair's
+// tree-path length comes from one offline-LCA pass over the tree
+// (clocktree.Tree.PathLens), so no LCA table is built — it caches:
 //
 //   - the communicating pairs, in the graph's PairIndex order, resolved
 //     to flat tree-node indices,
@@ -100,12 +101,14 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 		nb, _ := tree.CellNode(b)
 		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
 		k.d[i] = tree.DiffDist(na, nb)
-		k.s[i] = tree.PathLen(na, nb)
 		if k.d[i] > k.maxD {
 			k.maxD = k.d[i]
 		}
-		if k.s[i] > k.maxS {
-			k.maxS = k.s[i]
+	}
+	tree.PathLens(k.pairA, k.pairB, k.s)
+	for _, s := range k.s {
+		if s > k.maxS {
+			k.maxS = s
 		}
 	}
 	n := tree.NumNodes()

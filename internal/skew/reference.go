@@ -62,8 +62,8 @@ func referenceCellDiffDist(tree *clocktree.Tree, a, b comm.CellID) float64 {
 // referenceCellPathLen recomputes the tree-path length with the tree's
 // exact pre-kernel formula rootDist(a) + rootDist(b) − 2·rootDist(lca)
 // — but resolves the LCA through the retained binary-lifting table, so
-// a wrong Euler-tour answer (a different node, hence a different
-// rootDist) cannot go unnoticed.
+// a wrong LCA from the kernel's offline pass or the Euler-tour table (a
+// different node, hence a different rootDist) cannot go unnoticed.
 func referenceCellPathLen(tree *clocktree.Tree, a, b comm.CellID) float64 {
 	na, _ := tree.CellNode(a)
 	nb, _ := tree.CellNode(b)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clocktree"
@@ -204,7 +205,7 @@ func TestStreamedShardFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var remoteShards int
+	var remoteShards atomic.Int64 // ShardFn runs on both workers
 	spilled, err := st.Analyze(context.Background(), m, StreamOptions{
 		ShardSize: 17,
 		Workers:   2,
@@ -226,15 +227,15 @@ func TestStreamedShardFn(t *testing.T) {
 				return ShardStats{}, false
 			}
 			ss.Sketch = &back
-			remoteShards++
+			remoteShards.Add(1)
 			return ss, true
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remoteShards != local.Shards {
-		t.Fatalf("ShardFn served %d shards, want %d", remoteShards, local.Shards)
+	if got := int(remoteShards.Load()); got != local.Shards {
+		t.Fatalf("ShardFn served %d shards, want %d", got, local.Shards)
 	}
 	if spilled.Analysis != local.Analysis {
 		t.Fatalf("spilled analysis differs:\n got %+v\nwant %+v", spilled.Analysis, local.Analysis)
