@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clocktree"
 	"repro/internal/comm"
+	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -125,6 +126,31 @@ func BenchmarkKernelSkewSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.RandomSkew(p, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelJitteredSkew64 is one jittered-regime trial on a 64²
+// H-tree, the /v1/simulate regime:"jittered" inner loop: every tree edge
+// draws a keyed fault decision. The CI bench-smoke job gates it at ≤ 64
+// allocs/op.
+func BenchmarkKernelJitteredSkew64(b *testing.B) {
+	g, tree := benchSetup(b, 64)
+	k, err := NewKernel(g, tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := benchParams()
+	rng := stats.NewRNG(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inj, err := faults.New(faults.Config{JitterProb: 0.1, MaxJitter: 0.5}, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := k.JitteredSkew(p, rng, inj); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,14 +6,13 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
 
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
-	pq   eventHeap
+	pq   []event // binary min-heap in (time, seq) order
 	now  float64
 	seq  int64
 	step int64
@@ -25,23 +24,61 @@ type event struct {
 	fn   func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before is the queue order. (time, seq) is a total order — seq is
+// unique and NaN times are refused by At — so every correct priority
+// queue pops events in the same sequence.
+func (e *event) before(f *event) bool {
+	if e.time != f.time {
+		return e.time < f.time
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < f.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push adds e to the heap, sifting it up from the new last slot.
+func (s *Sim) push(e event) {
+	s.pq = append(s.pq, e)
+	h := s.pq
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest event. The vacated last slot is
+// cleared so the popped closure can be collected.
+func (s *Sim) pop() event {
+	h := s.pq
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event{}
+	h = h[:n]
+	s.pq = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // Now returns the current simulation time.
@@ -62,7 +99,7 @@ func (s *Sim) At(t float64, fn func()) {
 	if math.IsNaN(t) {
 		panic("des: scheduling at NaN")
 	}
-	heap.Push(&s.pq, event{time: t, seq: s.seq, fn: fn})
+	s.push(event{time: t, seq: s.seq, fn: fn})
 	s.seq++
 }
 
@@ -78,7 +115,7 @@ func (s *Sim) Step() bool {
 	if len(s.pq) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.pq).(event)
+	e := s.pop()
 	s.now = e.time
 	s.step++
 	e.fn()
@@ -87,16 +124,16 @@ func (s *Sim) Step() bool {
 
 // Run executes events until the queue drains, returning the final time.
 // maxEvents bounds the number of events executed (guarding against
-// runaway self-scheduling loops); it panics if the bound is hit.
+// runaway self-scheduling loops): it panics when an event would run
+// beyond the budget, so exactly maxEvents events drain cleanly.
 func (s *Sim) Run(maxEvents int64) float64 {
-	for i := int64(0); ; i++ {
+	for i := int64(0); len(s.pq) > 0; i++ {
 		if i >= maxEvents {
 			panic(fmt.Sprintf("des: event budget %d exhausted at t=%g", maxEvents, s.now))
 		}
-		if !s.Step() {
-			return s.now
-		}
+		s.Step()
 	}
+	return s.now
 }
 
 // RunUntil executes events with time ≤ tEnd (inclusive), leaving later

@@ -91,6 +91,25 @@ func TestRunBudgetPanics(t *testing.T) {
 	s.Run(50)
 }
 
+// TestRunExactBudget: a run that needs exactly maxEvents events drains
+// without tripping the budget, as RunUntil does.
+func TestRunExactBudget(t *testing.T) {
+	var s Sim
+	s.At(1, func() {})
+	if end := s.Run(1); end != 1 {
+		t.Errorf("Run(1) over one event ended at %g, want 1", end)
+	}
+	for i := 0; i < 5; i++ {
+		s.After(1, func() {})
+	}
+	s.Run(5)
+	if s.Steps() != 6 || s.Pending() != 0 {
+		t.Errorf("after Run(5): Steps=%d Pending=%d, want 6 and 0", s.Steps(), s.Pending())
+	}
+	var empty Sim
+	empty.Run(0)
+}
+
 func TestRunUntil(t *testing.T) {
 	var s Sim
 	fired := 0

@@ -9,8 +9,8 @@
 // at a configurable per-sample rate (derivable from an MTBF via
 // metastable.FailureProbForMTBF).
 //
-// An Injector draws every fault decision from a generator forked per
-// event key, so a simulation's fault pattern depends only on (seed, key)
+// An Injector draws every fault decision from a stream keyed per event,
+// so a simulation's fault pattern depends only on (seed, key)
 // — never on evaluation order — and any failing run replays exactly from
 // its seed. A nil *Injector is valid everywhere and injects nothing, so
 // fault-aware code paths need no special-casing for the clean case.
@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -54,8 +55,9 @@ type Config struct {
 	MetastableStall float64
 }
 
-// Validate checks that every probability is in [0, 1] and every enabled
-// fault class has a positive magnitude.
+// Validate checks that every probability is in [0, 1], every magnitude
+// is finite, and every enabled fault class has a positive magnitude. NaN
+// fails every check.
 func (c Config) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -64,8 +66,19 @@ func (c Config) Validate() error {
 		{"DropProb", c.DropProb}, {"DelayProb", c.DelayProb},
 		{"JitterProb", c.JitterProb}, {"MetastableProb", c.MetastableProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("faults: %s must be in [0,1], got %g", p.name, p.v)
+		}
+	}
+	for _, m := range []struct {
+		name string
+		v    float64
+	}{
+		{"RetransmitTimeout", c.RetransmitTimeout}, {"MaxDelay", c.MaxDelay},
+		{"MaxJitter", c.MaxJitter}, {"MetastableStall", c.MetastableStall},
+	} {
+		if math.IsNaN(m.v) || math.IsInf(m.v, 0) {
+			return fmt.Errorf("faults: %s must be finite, got %g", m.name, m.v)
 		}
 	}
 	if c.DropProb > 0 && c.RetransmitTimeout <= 0 {
@@ -133,16 +146,18 @@ func (c Counts) Faults() int64 { return c.Dropped + c.Delayed + c.Jittered + c.M
 // Injector hands out fault decisions. Create one per simulation run with
 // New; a nil *Injector injects nothing and is safe to pass anywhere.
 //
-// Every decision is drawn from a generator forked on the caller's event
+// Every decision is drawn from a stats.KeyedStream on the caller's event
 // key, so outcomes are a pure function of (seed, key): two runs with the
 // same seed see identical fault patterns regardless of event ordering,
-// and concurrent runs with forked injectors stay reproducible.
+// and concurrent runs with forked injectors stay reproducible. The
+// stream is the one stats.NewRNG(seed).Fork would give for the key, read
+// without building a generator, so a decision allocates nothing.
 //
 // The count and total-extra accumulators are not goroutine-safe: an
 // Injector belongs to one simulation on one goroutine.
 type Injector struct {
 	cfg        Config
-	base       *stats.RNG
+	seed       int64
 	counts     Counts
 	totalExtra float64
 }
@@ -152,7 +167,7 @@ func New(cfg Config, seed int64) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{cfg: cfg, base: stats.NewRNG(seed)}, nil
+	return &Injector{cfg: cfg, seed: seed}, nil
 }
 
 // Config returns the injector's configuration; the zero Config for nil.
@@ -181,11 +196,11 @@ func (in *Injector) TotalExtra() float64 {
 	return in.totalExtra
 }
 
-// fork returns the decision generator for one event key, salted per
-// fault class so that message, jitter, and metastability decisions with
+// fork returns the decision stream for one event key, salted per fault
+// class so that message, jitter, and metastability decisions with
 // coinciding keys stay independent.
-func (in *Injector) fork(class, key uint64) *stats.RNG {
-	return in.base.Fork(int64(class*0x9E3779B97F4A7C15 ^ key))
+func (in *Injector) fork(class, key uint64) stats.KeyedStream {
+	return stats.NewKeyedStream(in.seed, int64(class*0x9E3779B97F4A7C15^key))
 }
 
 // MessageExtra returns the extra delivery delay of handshake message
@@ -209,7 +224,7 @@ func (in *Injector) MessageExtra(key uint64) float64 {
 		in.counts.Delayed++
 		extra = in.cfg.MaxDelay * (1 - r.Float64())
 	}
-	extra += in.metastableStall(r)
+	extra += in.metastableStall(&r)
 	in.totalExtra += extra
 	return extra
 }
@@ -237,13 +252,14 @@ func (in *Injector) MetastableStall(key uint64) float64 {
 	if in == nil || in.cfg.MetastableProb == 0 {
 		return 0
 	}
-	stall := in.metastableStall(in.fork(3, key))
+	r := in.fork(3, key)
+	stall := in.metastableStall(&r)
 	in.totalExtra += stall
 	return stall
 }
 
 // metastableStall draws one resolution-failure decision from r.
-func (in *Injector) metastableStall(r *stats.RNG) float64 {
+func (in *Injector) metastableStall(r *stats.KeyedStream) float64 {
 	if in.cfg.MetastableProb == 0 || !r.Bernoulli(in.cfg.MetastableProb) {
 		return 0
 	}

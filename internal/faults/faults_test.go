@@ -32,6 +32,19 @@ func TestConfigValidate(t *testing.T) {
 		{"delay prob above one", func(c *Config) { c.DelayProb = 2 }, "DelayProb"},
 		{"jitter prob negative", func(c *Config) { c.JitterProb = -1 }, "JitterProb"},
 		{"metastable prob above one", func(c *Config) { c.MetastableProb = 1.1 }, "MetastableProb"},
+		{"NaN drop prob", func(c *Config) { c.DropProb = math.NaN() }, "DropProb"},
+		{"NaN delay prob", func(c *Config) { c.DelayProb = math.NaN() }, "DelayProb"},
+		{"NaN jitter prob", func(c *Config) { c.JitterProb = math.NaN() }, "JitterProb"},
+		{"NaN metastable prob", func(c *Config) { c.MetastableProb = math.NaN() }, "MetastableProb"},
+		{"NaN retransmit timeout", func(c *Config) { c.RetransmitTimeout = math.NaN() }, "RetransmitTimeout"},
+		{"NaN timeout with certain drop", func(c *Config) { *c = Config{DropProb: 1, RetransmitTimeout: math.NaN()} }, "RetransmitTimeout"},
+		{"infinite retransmit timeout", func(c *Config) { c.RetransmitTimeout = math.Inf(1) }, "RetransmitTimeout"},
+		{"NaN max delay", func(c *Config) { c.MaxDelay = math.NaN() }, "MaxDelay"},
+		{"infinite max delay", func(c *Config) { c.MaxDelay = math.Inf(1) }, "MaxDelay"},
+		{"negative infinite max jitter", func(c *Config) { c.MaxJitter = math.Inf(-1) }, "MaxJitter"},
+		{"NaN max jitter", func(c *Config) { c.MaxJitter = math.NaN() }, "MaxJitter"},
+		{"infinite metastable stall", func(c *Config) { c.MetastableStall = math.Inf(1) }, "MetastableStall"},
+		{"NaN magnitude of a disabled class", func(c *Config) { *c = Config{MaxDelay: math.NaN()} }, "MaxDelay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

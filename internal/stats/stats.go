@@ -97,7 +97,12 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // generators let concurrent or per-entity streams stay reproducible
 // regardless of consumption order elsewhere.
 func (r *RNG) Fork(id int64) *RNG {
-	return NewRNG(mix64(uint64(r.seed)) ^ mix64(uint64(id)*0x9E3779B97F4A7C15+1))
+	return NewRNG(forkSeed(r.seed, id))
+}
+
+// forkSeed is the seed of the generator Fork(id) derives from seed.
+func forkSeed(seed, id int64) int64 {
+	return mix64(uint64(seed)) ^ mix64(uint64(id)*0x9E3779B97F4A7C15+1)
 }
 
 // mix64 is the SplitMix64 finalizer, used to decorrelate fork seeds.
